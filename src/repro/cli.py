@@ -342,18 +342,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         from repro.bench.figures import fig5_crash_window
         print("running Fig 5 crash-window trials...")
         crash_window = fig5_crash_window(seed=args.seed)
-    perf_snapshots = []
-    if args.perf:
-        from repro.perf import load_report
-        for path in args.perf:
-            perf_snapshots.append((Path(path).stem, load_report(path)))
-
     out_dir = Path(args.out) if args.out \
         else Path(args.dir) / "report"
     manifest = write_bundle(
         args.dir, out_dir, resamples=args.resamples, seed=args.seed,
         overheads=not args.no_overheads, recovery=recovery,
-        crash_window=crash_window, perf_snapshots=perf_snapshots)
+        crash_window=crash_window)
     print(f"report bundle: {manifest.out_dir}")
     for artifact in sorted(manifest.artifacts, key=lambda a: a.name):
         print(f"  {artifact.spec_file()} + {artifact.data_file()} "
@@ -369,34 +363,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis.cli import main as analysis_main
     return analysis_main(args.lint_args)
-
-
-# ======================================================================
-# Performance regression harness (docs/performance.md)
-# ======================================================================
-def cmd_perf_run(args: argparse.Namespace) -> int:
-    from repro.perf import run_benchmarks, save_report
-
-    names = tuple(args.only.split(",")) if args.only else None
-    print(f"perf benchmarks ({'quick' if args.quick else 'full'} repeats)")
-    report = run_benchmarks(quick=args.quick, names=names, echo=print)
-    save_report(report, args.out)
-    print(f"wrote {args.out}")
-    return 0
-
-
-def cmd_perf_compare(args: argparse.Namespace) -> int:
-    from repro.perf import compare_reports, load_report
-
-    code, lines = compare_reports(
-        load_report(args.baseline), load_report(args.candidate),
-        threshold=args.threshold, advisory=args.advisory)
-    for line in lines:
-        print(line)
-    print(f"perf compare: {'FAIL' if code else 'OK'} "
-          f"(threshold {args.threshold:.0%}"
-          + (", advisory" if args.advisory else "") + ")")
-    return code
 
 
 # ======================================================================
@@ -827,11 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stats RNG seed (bootstrap + permutation)")
     p.add_argument("--resamples", type=int, default=2000,
                    help="bootstrap/permutation resamples (default 2000)")
-    p.add_argument("--perf", action="append", default=[],
-                   metavar="BENCH_perf.json",
-                   help="perf baseline report(s) to fold into the "
-                        "trajectory dashboard (repeatable, plotted in "
-                        "the order given)")
     p.add_argument("--recovery", action="store_true",
                    help="also run the Fig 13 recovery sweep "
                         "(direct simulation, not cached)")
@@ -961,34 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--sarif", default=None,
                     help="also write violations as a SARIF 2.1.0 log")
     pp.set_defaults(func=cmd_explore_report)
-
-    p = sub.add_parser(
-        "perf",
-        help="hot-path microbenchmarks + regression gate "
-             "(docs/performance.md)")
-    p.add_argument("--quick", action="store_true",
-                   help="fewer timed repeats (CI smoke); workload sizes "
-                        "and result digests are unchanged")
-    p.add_argument("--out", default="BENCH_perf.json",
-                   help="report path (default BENCH_perf.json)")
-    p.add_argument("--only",
-                   help="comma-separated benchmark subset "
-                        "(e.g. access_loop,epoch_loop,scheme:scue,"
-                        "epoch:scue)")
-    p.set_defaults(func=cmd_perf_run)
-    perf_sub = p.add_subparsers(dest="perf_command")
-    pp = perf_sub.add_parser(
-        "compare",
-        help="gate a fresh report against a committed baseline")
-    pp.add_argument("baseline", help="committed baseline BENCH_perf.json")
-    pp.add_argument("candidate", nargs="?", default="BENCH_perf.json",
-                    help="fresh report (default BENCH_perf.json)")
-    pp.add_argument("--threshold", type=float, default=0.10,
-                    help="allowed throughput regression (default 0.10)")
-    pp.add_argument("--advisory", action="store_true",
-                    help="warn instead of failing on throughput "
-                         "regressions; digest mismatches still fail")
-    pp.set_defaults(func=cmd_perf_compare)
 
     p = sub.add_parser(
         "analyze",

@@ -1,48 +1,8 @@
-"""Performance regression harness for the simulator's hot path.
-
-Every figure and campaign funnels through the same per-access loop
-(address map -> metadata cache -> counter/tree walk -> KeyedMac ->
-WPQ/NVM); :mod:`repro.perf` measures that loop deterministically so
-optimizations can be proven and regressions caught:
-
-* :func:`run_benchmarks` — warmup + best-of-N-median microbenchmarks
-  (the raw access loop, each scheme, and end-to-end fig10-quick), each
-  reporting accesses/sec, wall seconds, and a sha256 digest of the
-  simulation result so *any* behavioural drift is detected alongside
-  timing drift;
-* :func:`save_report` / :func:`load_report` — the versioned
-  ``BENCH_perf.json`` schema;
-* :func:`compare_reports` — gate a fresh run against a committed
-  baseline (fail on >10% throughput regression; a result-digest
-  mismatch always fails, advisory mode or not) and diff the
-  candidate's scalar/epoch benchmark pairs (an epoch row must
-  digest-match its scalar twin — the byte-identical oracle applied
-  across engines).
-
-``repro-sim perf`` / ``repro-sim perf compare`` are the CLI front ends
-(docs/performance.md).
+"""The simulation-result digest (:func:`result_digest`) that the tier-1
+golden tests and the ``perfbench/`` benchmark compare results by.
+Host time is measured by ``perfbench/`` (docs/performance.md).
 """
 
-from repro.perf.harness import (
-    BENCH_NAMES,
-    ENGINE_PAIRS,
-    SCHEMA_VERSION,
-    BenchResult,
-    compare_reports,
-    load_report,
-    report_rows,
-    run_benchmarks,
-    save_report,
-)
+from repro.perf.harness import result_digest
 
-__all__ = [
-    "BENCH_NAMES",
-    "ENGINE_PAIRS",
-    "SCHEMA_VERSION",
-    "BenchResult",
-    "compare_reports",
-    "load_report",
-    "report_rows",
-    "run_benchmarks",
-    "save_report",
-]
+__all__ = ["result_digest"]

@@ -17,7 +17,7 @@ reproduces, byte for byte, the little-endian images and message layouts
 of `repro.cme.counters.CounterBlock`, `repro.util.crypto.KeyedMac`
 (integer parts as 8-byte LE words) and `repro.util.crypto.make_otp` —
 proven per kernel in `tests/secure/test_vector_kernels.py`.  The digest
-oracle in `BENCH_perf.json` depends on that equivalence.
+pins in `tests/test_determinism_guard.py` depend on that equivalence.
 
 The functions named in :data:`HOT_KERNELS` must stay free of per-element
 Python loops and dict lookups — reprolint RPL015

@@ -34,19 +34,17 @@ def run_workload(config: SystemConfig, trace: TraceSource,
                  warmup_accesses: int = 0,
                  max_accesses: int | None = None,
                  system: System | None = None,
-                 recorder=None, engine: str = "auto") -> RunResult:
+                 recorder=None) -> RunResult:
     """Run ``trace`` on a freshly built (or provided) system.
 
     ``warmup_accesses`` records are executed first, then statistics are
     reset so caches/WPQ state carries over but measurements start clean.
     ``max_accesses`` bounds the measured region (useful for unbounded
     generators).  ``recorder`` (a :class:`repro.obs.TraceRecorder`)
-    enables event tracing on the freshly built system; ``engine``
-    selects the access-loop implementation (see :class:`System`).  Both
-    are ignored when ``system`` is supplied (the caller already wired
-    them in).
+    enables event tracing on the freshly built system; it is ignored
+    when ``system`` is supplied (the caller already wired it in).
     """
-    sim = system or System(config, recorder=recorder, engine=engine)
+    sim = system or System(config, recorder=recorder)
     iterator = _as_iterator(trace)
     if warmup_accesses:
         sim.run(islice(iterator, warmup_accesses))
@@ -61,8 +59,7 @@ def run_schemes(config: SystemConfig, schemes: list[str],
                 trace_factory: Callable[[], Iterable[MemoryAccess]],
                 workload_name: str = "workload",
                 warmup_accesses: int = 0,
-                max_accesses: int | None = None,
-                engine: str = "auto") -> dict[str, RunResult]:
+                max_accesses: int | None = None) -> dict[str, RunResult]:
     """Run the *same* workload across several schemes (the Fig 9/10
     comparison shape).  ``trace_factory`` must return a fresh, identical
     trace per call — pass a deterministic generator factory."""
@@ -72,6 +69,5 @@ def run_schemes(config: SystemConfig, schemes: list[str],
             config.with_(scheme=scheme), trace_factory,
             workload_name=workload_name,
             warmup_accesses=warmup_accesses,
-            max_accesses=max_accesses,
-            engine=engine)
+            max_accesses=max_accesses)
     return results

@@ -12,7 +12,8 @@ memos (counter images, SCUE leaf seals) in bulk.  An inlined interpreter
 then executes the window: it replicates the scalar statement stream —
 every counter increment, histogram bucket, memo probe and NVM row-buffer
 touch, in the same order with the same values — so the `sha256` result
-digests in `BENCH_perf.json` are byte-identical by construction.
+digests pinned in `tests/test_determinism_guard.py` are byte-identical by
+construction.
 
 The interpreter inlines the whole metadata path: the fetch-and-verify
 chain (`_fetch_chain` / `fetch_node`), cache install with its eviction
@@ -222,7 +223,7 @@ def ineligible_reason(system) -> str | None:
     return None
 
 
-def run_trace(system, trace, plan: bool = True) -> bool:
+def run_trace(system, trace) -> bool:
     """Run ``trace`` through the epoch engine if eligible.
 
     Returns ``True`` when the engine ran (the trace is consumed), or
@@ -231,7 +232,7 @@ def run_trace(system, trace, plan: bool = True) -> bool:
     """
     if ineligible_reason(system) is not None:
         return False
-    EpochEngine(system, plan=plan).run(trace)
+    EpochEngine(system).run(trace)
     return True
 
 

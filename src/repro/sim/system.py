@@ -55,16 +55,17 @@ class System:
       byte-identically — recorders, sanitizer seams, crash knobs,
       scalar-only environments — silently takes the scalar loop.
     * ``"scalar"``: always the per-access reference loop.
-    * ``"epoch"``: require the epoch engine; raises ``ConfigError``
-      naming the blocker if the run is ineligible (used by the
-      equivalence tests so a fallback can't masquerade as coverage).
+
+    To require the epoch engine instead, drive
+    :class:`repro.sim.epoch.EpochEngine` directly: it raises
+    ``ConfigError`` naming the blocker if the run is ineligible.
     """
 
     def __init__(self, config: SystemConfig, recorder=None,
                  engine: str = "auto") -> None:
-        if engine not in ("auto", "scalar", "epoch"):
+        if engine not in ("auto", "scalar"):
             raise ConfigError(
-                f"unknown engine {engine!r}; choose auto, scalar or epoch")
+                f"unknown engine {engine!r}; choose auto or scalar")
         self.engine = engine
         self.config = config
         self.obs = recorder if recorder is not None else NULL_RECORDER
@@ -159,14 +160,10 @@ class System:
         self.controller.tick(self.cycle)
 
     def run(self, trace: Iterable[MemoryAccess]) -> None:
-        if self.engine != "scalar":
+        if self.engine == "auto":
             # Lazy import: the epoch engine pulls in the scheme stack
             # and (optionally) numpy; the scalar path never needs it.
             from repro.sim import epoch
-            if self.engine == "epoch":
-                reason = epoch.ineligible_reason(self)
-                if reason is not None:
-                    raise ConfigError(f"epoch engine ineligible: {reason}")
             if epoch.run_trace(self, trace):
                 return
         for access in trace:

@@ -14,8 +14,8 @@ and regenerating twice produces byte-identical files.
 Cells are classified by their grid coordinate: ``group == ""`` cells
 form the Fig 9/10/§V-E workload x scheme matrix, ``group == "hash=N"``
 cells form the Fig 11/12 sensitivity sweep.  Direct-run figures (Fig 13
-recovery, Fig 5 crash window) and the perf trajectory are injected by
-the caller — they are not campaign cells.
+recovery, Fig 5 crash window) are injected by the caller — they are not
+campaign cells.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
 
 from repro.bench.figures import (
     PAPER_FIG9,
@@ -171,7 +170,6 @@ def build_artifacts(data: CampaignData, *,
                     overheads: bool = True,
                     recovery: RecoveryFigure | None = None,
                     crash_window: CrashWindowResult | None = None,
-                    perf_snapshots: Sequence[tuple[str, dict]] = (),
                     ) -> tuple[list[FigureArtifact], dict[str, str]]:
     """Every artifact the available data supports, plus the text stats
     tables keyed by figure name."""
@@ -252,13 +250,6 @@ def build_artifacts(data: CampaignData, *,
             inputs=(f"direct run: {crash_window.trials} crash trials "
                     "per scheme",)))
 
-    if perf_snapshots:
-        artifacts.append(fig.perf_trajectory_artifact(
-            "dash_perf_trajectory", "Perf baseline trajectory",
-            perf_snapshots,
-            inputs=tuple(f"perf report: {label}"
-                         for label, _ in perf_snapshots)))
-
     return artifacts, stats
 
 
@@ -316,7 +307,6 @@ def write_bundle(campaign_dir: str | Path, out_dir: str | Path, *,
                  overheads: bool = True,
                  recovery: RecoveryFigure | None = None,
                  crash_window: CrashWindowResult | None = None,
-                 perf_snapshots: Sequence[tuple[str, dict]] = (),
                  ) -> BundleManifest:
     """Load ``campaign_dir``, build every artifact, write the bundle."""
     data = load_campaign(campaign_dir)
@@ -325,8 +315,7 @@ def write_bundle(campaign_dir: str | Path, out_dir: str | Path, *,
             f"{campaign_dir}: campaign cache holds no readable cells")
     artifacts, stats_texts = build_artifacts(
         data, resamples=resamples, seed=seed, overheads=overheads,
-        recovery=recovery, crash_window=crash_window,
-        perf_snapshots=perf_snapshots)
+        recovery=recovery, crash_window=crash_window)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,8 @@
 
 One builder per paper figure / dashboard panel, each a pure function
 from a result structure (a :class:`~repro.bench.harness.MatrixResult`,
-a hash-sweep table, a :class:`~repro.bench.figures.RecoveryFigure`, a
-perf report...) to an artifact: spec dict + tidy rows + provenance.
+a hash-sweep table, a :class:`~repro.bench.figures.RecoveryFigure`...)
+to an artifact: spec dict + tidy rows + provenance.
 Ordering is pinned everywhere — workloads sort alphabetically, schemes
 follow :data:`SCHEME_ORDER` — because artifacts must serialize
 byte-identically run over run.
@@ -21,7 +21,6 @@ from repro.bench.figures import (
 from repro.bench.harness import MatrixResult
 from repro.bench.overheads import OverheadRow, overhead_long_rows
 from repro.obs.export import attribution_rows, histogram_summary_rows
-from repro.perf.harness import report_rows
 from repro.viz.spec import (
     FigureArtifact,
     ci_bar,
@@ -190,7 +189,7 @@ def overheads_artifact(name: str, title: str,
 
 
 # ----------------------------------------------------------------------
-# Dashboards: latency tails, attribution, perf trajectory
+# Dashboards: latency tails, attribution
 # ----------------------------------------------------------------------
 def latency_tails_artifact(name: str, title: str, matrix: MatrixResult,
                            *, inputs: Sequence[str] = ()
@@ -235,27 +234,3 @@ def attribution_artifact(name: str, title: str, matrix: MatrixResult,
     return FigureArtifact(name, title, spec,
                           ("scheme", "component", "cycles", "share"),
                           rows, tuple(inputs))
-
-
-def perf_trajectory_artifact(name: str, title: str,
-                             snapshots: Sequence[tuple[str, dict]],
-                             *, inputs: Sequence[str] = ()
-                             ) -> FigureArtifact:
-    """Throughput per benchmark across labelled ``BENCH_perf*.json``
-    snapshots (the perf-baseline trajectory)."""
-    labels = [label for label, _ in snapshots]
-    rows: list[dict[str, Any]] = []
-    for label, report in snapshots:
-        rows.extend(report_rows(label, report))
-    spec = line_chart(
-        name, title, x="snapshot", y="accesses_per_sec",
-        series="benchmark", x_title="baseline snapshot",
-        y_title="accesses / second",
-        description=f"{title}: committed perf-baseline trajectory")
-    spec["encoding"]["x"] = {"field": "snapshot", "type": "ordinal",
-                             "sort": labels,
-                             "title": "baseline snapshot"}
-    return FigureArtifact(
-        name, title, spec,
-        ("snapshot", "benchmark", "accesses_per_sec", "wall_seconds"),
-        rows, tuple(inputs))

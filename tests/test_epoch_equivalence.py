@@ -16,7 +16,12 @@ halves of that promise:
 * the persist-order sanitizer's seam patches make the run ineligible:
   ``engine="auto"`` silently takes the scalar loop and the sanitizer
   observes the exact same persist-event stream as an explicit scalar
-  run, while ``engine="epoch"`` refuses loudly.
+  run, while driving :class:`~repro.sim.epoch.EpochEngine` directly
+  refuses loudly.
+
+Every batched run here drives ``EpochEngine`` itself rather than
+``engine="auto"``: it raises on an ineligible run, so a silent fallback
+can't masquerade as coverage.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ needs_numpy = pytest.mark.skipif(
 SCHEMES = ("baseline", "lazy", "eager", "plp", "bmf-ideal", "scue")
 
 
-def build_system(scheme: str, engine: str, **overrides) -> System:
+def build_system(scheme: str, engine: str = "auto",
+                 **overrides) -> System:
     # check_data is a shadow-verification debug mode the epoch engine
     # does not transcribe; the equivalence runs use the production
     # setting (off) so both engines are eligible for comparison.
@@ -49,8 +55,14 @@ def build_system(scheme: str, engine: str, **overrides) -> System:
 
 
 def run_trace(scheme: str, trace, engine: str, **overrides) -> System:
-    system = build_system(scheme, engine, **overrides)
-    system.run(iter(trace))
+    """Run ``trace`` through the scalar loop or, for ``"epoch"``, the
+    epoch engine itself."""
+    if engine == "epoch":
+        system = build_system(scheme, **overrides)
+        epoch.EpochEngine(system).run(iter(trace))
+    else:
+        system = build_system(scheme, engine, **overrides)
+        system.run(iter(trace))
     return system
 
 
@@ -99,10 +111,10 @@ class TestEngineEquivalence:
         # plan=False runs the same inlined interpreter without memo
         # pre-seeding; the memos are content-keyed, so nothing may move.
         trace = random_trace(400, seed=5)
-        planned = build_system("scue", "epoch")
-        epoch.run_trace(planned, iter(trace), plan=True)
-        unplanned = build_system("scue", "epoch")
-        epoch.run_trace(unplanned, iter(trace), plan=False)
+        planned = build_system("scue")
+        epoch.EpochEngine(planned, plan=True).run(iter(trace))
+        unplanned = build_system("scue")
+        epoch.EpochEngine(unplanned, plan=False).run(iter(trace))
         assert result_digest(planned.result("plan")) \
             == result_digest(unplanned.result("plan"))
 
@@ -110,16 +122,16 @@ class TestEngineEquivalence:
 @needs_numpy
 class TestSanitizerFallback:
     def test_sanitizer_makes_run_ineligible(self):
-        system = build_system("scue", "auto")
+        system = build_system("scue")
         assert epoch.ineligible_reason(system) is None
         attach_sanitizer(system.controller)
         assert epoch.ineligible_reason(system) is not None
 
     def test_forced_epoch_refuses_sanitized_run(self):
-        system = build_system("scue", "epoch")
+        system = build_system("scue")
         attach_sanitizer(system.controller)
         with pytest.raises(ConfigError, match="epoch engine ineligible"):
-            system.run(iter(random_trace(50, seed=1)))
+            epoch.EpochEngine(system)
 
     @pytest.mark.parametrize("scheme", ("scue", "eager", "plp"))
     def test_fallback_preserves_persist_event_stream(self, scheme):
@@ -141,9 +153,14 @@ class TestSanitizerFallback:
 
 
 class TestEligibilityGate:
+    def test_system_engine_is_auto_or_scalar(self):
+        # Forcing the epoch engine is EpochEngine's job, not System's.
+        with pytest.raises(ConfigError, match="unknown engine 'epoch'"):
+            build_system("scue", "epoch")
+
     def test_scalar_only_environment_reports_numpy(self, monkeypatch):
         monkeypatch.setattr(vector, "HAVE_NUMPY", False)
-        system = build_system("scue", "auto")
+        system = build_system("scue")
         assert epoch.ineligible_reason(system) == "numpy is not available"
 
     @needs_numpy

@@ -128,22 +128,6 @@ class TestGoldenBundle:
         names = {artifact.name for artifact in manifest.artifacts}
         assert "sec5f_space_overheads" not in names
 
-    def test_perf_snapshots_add_trajectory(self, campaign_dir,
-                                           tmp_path):
-        report = {"schema_version": 1, "benchmarks": {
-            "access_loop": {"accesses_per_sec": 90000.0,
-                            "wall_seconds": 1.1}}}
-        manifest = write_bundle(
-            campaign_dir, tmp_path / "out", resamples=50,
-            perf_snapshots=[("pre", report), ("post", report)])
-        names = {artifact.name for artifact in manifest.artifacts}
-        assert "dash_perf_trajectory" in names
-        rows = (tmp_path / "out" / "dash_perf_trajectory.csv") \
-            .read_text().splitlines()
-        assert rows[0] == \
-            "snapshot,benchmark,accesses_per_sec,wall_seconds"
-        assert len(rows) == 3
-
     def test_empty_campaign_is_config_error(self, tmp_path):
         (tmp_path / "cache" / "objects").mkdir(parents=True)
         with pytest.raises(ConfigError, match="no readable cells"):

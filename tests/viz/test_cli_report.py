@@ -1,7 +1,5 @@
 """The ``repro-sim report`` verb end to end (no subprocess)."""
 
-import json
-
 from repro.cli import main
 from repro.viz.validate import main as validate_main
 
@@ -25,25 +23,6 @@ class TestReportVerb:
         rc = main(["report", str(campaign_dir), "--resamples", "50"])
         assert rc == 0
         assert (campaign_dir / "report" / "STATUS.md").exists()
-
-    def test_perf_flag_feeds_trajectory(self, campaign_dir, tmp_path,
-                                        capsys):
-        report = {"schema_version": 1, "benchmarks": {
-            "access_loop": {"accesses_per_sec": 90000.0,
-                            "wall_seconds": 1.1}}}
-        perf_a = tmp_path / "BENCH_perf_pre.json"
-        perf_b = tmp_path / "BENCH_perf.json"
-        perf_a.write_text(json.dumps(report))
-        perf_b.write_text(json.dumps(report))
-        out = tmp_path / "bundle"
-        rc = main(["report", str(campaign_dir), "--out", str(out),
-                   "--resamples", "50",
-                   "--perf", str(perf_a), "--perf", str(perf_b)])
-        assert rc == 0
-        assert (out / "dash_perf_trajectory.vl.json").exists()
-        csv_rows = (out / "dash_perf_trajectory.csv") \
-            .read_text().splitlines()
-        assert "BENCH_perf_pre,access_loop" in csv_rows[1]
 
     def test_no_overheads_flag(self, campaign_dir, tmp_path, capsys):
         out = tmp_path / "bundle"
