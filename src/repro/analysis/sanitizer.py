@@ -204,9 +204,9 @@ class RecoveryRootSumRule(SanitizerRule):
         mask = (1 << amap.counter_bits) - 1
         subtree = amap.arity ** (amap.tree_levels - 1)
         sums = [0] * amap.arity
-        for index in range(amap.num_counter_blocks):
-            leaf = controller.store.load(0, index, counted=False)
-            slot = (index // subtree) % amap.arity
+        # Never-written leaves are blank and add 0 to every sum.
+        for leaf in controller.store.written_leaves():
+            slot = (leaf.index // subtree) % amap.arity
             sums[slot] = (sums[slot]
                           + leaf.dummy_counter(amap.counter_bits)) & mask
         stored = controller.recovery_root.counters

@@ -4,16 +4,21 @@ The insight that makes SIT recoverable bottom-up: under counter-summing
 updates a parent counter equals the modular sum of all counters in its
 child node (the child's *dummy counter*).  Recovery therefore:
 
-1. reads every persisted counter block (the consistent leaf level),
+1. reads the persisted counter blocks (the consistent leaf level) — the
+   ones the media holds; a never-written block is blank, adds 0 to every
+   sum and verifies against its own zero dummy, so skipping it changes
+   nothing,
 2. verifies each leaf's HMAC against its own dummy counter — the value it
    was sealed with at persist time — which catches **roll-forward** and
    non-replay **roll-back** attacks (Table I, row 1),
 3. rebuilds every intermediate level by grouping child dummies eight at a
-   time, sealing each rebuilt node with its own dummy,
+   time, as sparse ``{index: counters}`` maps of the nodes with a
+   written descendant,
 4. compares the rebuilt root counters with the on-chip Recovery_root,
    which catches **replay/roll-back** attacks (Table I, row 2), and
-5. on success writes the rebuilt tree back to media so runtime
-   verification resumes from a consistent image.
+5. on success seals every node of every level — blank subtrees included,
+   each with its own dummy — and writes the rebuilt tree back to media so
+   runtime verification resumes from a consistent image.
 
 The same routine doubles as the "reconstruct and compare" recovery attempt
 for the Lazy and Eager baselines — demonstrating the root crash
@@ -21,20 +26,19 @@ inconsistency problem: their stored root does not match the rebuilt one
 even though no attack occurred (§III-B, Fig 5b).
 
 Cost model (§V-D): recovery time is dominated by metadata reads at 100 ns
-apiece.
+apiece.  ``metadata_reads`` is that modelled count — every counter block
+of the leaf level, as the hardware must read them all — not the host
+work, which visits only the blocks the media holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cme.counters import CounterBlock
-from repro.errors import MetadataTypeError
 from repro.mem.address import AddressMap
 from repro.secure.roots import RootRegister
 from repro.tree.node import SITNode
 from repro.tree.store import SITStore
-from repro.util.bitfield import checked_sum
 from repro.util.crypto import KeyedMac
 
 METADATA_FETCH_NS = 100.0
@@ -62,15 +66,17 @@ class ReconstructionResult:
         return self.metadata_reads * METADATA_FETCH_NS * 1e-9
 
 
-def _group_dummies(dummies: list[int], width: int,
-                   arity: int) -> list[list[int]]:
-    """Chunk child dummies into parent counter vectors of ``arity``,
-    zero-padded (absent children have never been written)."""
-    groups: list[list[int]] = []
-    for parent in range(width):
-        chunk = dummies[parent * arity:(parent + 1) * arity]
-        chunk = chunk + [0] * (arity - len(chunk))
-        groups.append(chunk)
+def group_by_parent(children: dict[int, int],
+                    arity: int) -> dict[int, list[int]]:
+    """Sparse parent vectors: ``{parent index: arity child values}`` for
+    every parent with a child in ``children``; a child absent from the
+    map was never written and contributes 0."""
+    groups: dict[int, list[int]] = {}
+    for index, value in children.items():
+        vector = groups.get(index // arity)
+        if vector is None:
+            vector = groups[index // arity] = [0] * arity
+        vector[index % arity] = value
     return groups
 
 
@@ -84,46 +90,41 @@ def counter_summing_reconstruction(
     ``write_back=False`` performs a dry-run comparison without touching
     media (used when demonstrating recovery *failures*, where rewriting
     the tree would be wrong)."""
-    result = ReconstructionResult(root_counters=[], root_matched=False)
+    result = ReconstructionResult(root_counters=[], root_matched=False,
+                                  metadata_reads=amap.num_counter_blocks)
+    bits, arity = amap.counter_bits, amap.arity
+    mask = (1 << bits) - 1
 
     # -- Step 1+2: read and verify the leaf level --------------------
-    bits = amap.counter_bits
-    dummies: list[int] = []
-    for index in range(amap.num_counter_blocks):
-        leaf = store.load(0, index, counted=False)
-        result.metadata_reads += 1
-        if not isinstance(leaf, CounterBlock):
-            raise MetadataTypeError(
-                f"level-0 node {index} is {type(leaf).__name__}, "
-                "expected CounterBlock")
-        addr = amap.counter_block_addr(index)
-        if not leaf.verify(mac, addr, leaf.dummy_counter(bits)):
-            result.leaf_hmac_failures.append(index)
-        dummies.append(leaf.dummy_counter(bits))
+    dummies: dict[int, int] = {}
+    for leaf in store.written_leaves():
+        dummy = dummies[leaf.index] = leaf.dummy_counter(bits)
+        if not leaf.verify(mac, amap.counter_block_addr(leaf.index), dummy):
+            result.leaf_hmac_failures.append(leaf.index)
 
     # -- Step 3: rebuild intermediate levels -------------------------
-    rebuilt: list[list[SITNode]] = []
-    for level in range(1, amap.tree_levels):
-        width = amap.level_width(level)
-        nodes = [SITNode(level, i, counters=group, arity=amap.arity)
-                 for i, group in enumerate(
-                     _group_dummies(dummies, width, amap.arity))]
-        for node in nodes:
-            node.seal(mac, store.node_addr(level, node.index),
-                      node.dummy_counter())
-        rebuilt.append(nodes)
-        dummies = [node.dummy_counter() for node in nodes]
+    # A node absent from its level's map has no written descendant: its
+    # counters and its dummy are all zero.
+    levels: list[dict[int, list[int]]] = []
+    for _ in range(1, amap.tree_levels):
+        groups = group_by_parent(dummies, arity)
+        levels.append(groups)
+        dummies = {index: sum(counters) & mask
+                   for index, counters in groups.items()}
         result.rebuilt_levels += 1
 
     # -- Step 4: root comparison -------------------------------------
-    root_counters = dummies + [0] * (amap.arity - len(dummies))
-    result.root_counters = [checked_sum([c], bits) for c in root_counters]
+    result.root_counters = [dummies.get(slot, 0) for slot in range(arity)]
     result.root_matched = recovery_root.matches(result.root_counters)
 
     # -- Step 5: write back on a clean recovery ----------------------
     if write_back and result.clean:
-        for nodes in rebuilt:
-            for node in nodes:
+        for level, groups in enumerate(levels, start=1):
+            for index in range(amap.level_width(level)):
+                node = SITNode(level, index, counters=groups.get(index),
+                               arity=arity)
+                node.seal(mac, store.node_addr(level, index),
+                          node.dummy_counter())
                 store.save(node, counted=False)
                 result.metadata_writes += 1
     return result

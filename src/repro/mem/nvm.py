@@ -7,7 +7,10 @@ ADR-less operation) live elsewhere and are dropped by crash injection.
 
 Storage is a sparse ``{line_address: bytes}`` map so multi-gigabyte
 configurations cost only what is actually touched.  Reads of never-written
-lines return zero lines, matching freshly-initialised media.
+lines return zero lines, matching freshly-initialised media, and
+:meth:`NVMDevice.stored_lines` lists what a range holds, so a scan of a
+region (recovery reading the counter blocks) costs what was written to
+it rather than the size of the region.
 """
 
 from __future__ import annotations
@@ -107,6 +110,17 @@ class NVMDevice:
         if len(data) != CACHE_LINE_SIZE:
             raise AddressError("poke_line needs a full line")
         self._lines[line_addr] = bytes(data)
+
+    def stored_lines(self, start: int, stop: int) -> list[tuple[int, bytes]]:
+        """``(line_address, image)`` for every stored line in
+        ``[start, stop)``, in address order, without counting accesses.
+
+        A line that was never written is absent: it reads as a zero line.
+        A line poked back to zeros was stored and is listed.  The cost is
+        one pass over the stored lines, however large the range.
+        """
+        return sorted((addr, raw) for addr, raw in self._lines.items()
+                      if start <= addr < stop)
 
     @property
     def lines_written(self) -> int:

@@ -22,11 +22,7 @@ from repro.cme.counters import CounterBlock
 from repro.errors import SimulationError
 from repro.mem.address import CACHE_LINE_SIZE
 from repro.obs import events as ev
-from repro.secure.base import (
-    RecoveryReport,
-    SecureMemoryController,
-    expect_node,
-)
+from repro.secure.base import RecoveryReport, SecureMemoryController
 from repro.tree.node import SITNode
 from repro.tree.store import TreeNode
 
@@ -101,18 +97,32 @@ class BMFIdealController(SecureMemoryController):
     # ------------------------------------------------------------------
     def recover(self) -> RecoveryReport:
         """Verify every persisted counter block against its persistent
-        root — no reconstruction needed, the roots never went stale."""
+        root — no reconstruction needed, the roots never went stale.
+
+        Only the blocks the media holds are read back.  A never-written
+        block is blank and verifies only against a zero root counter, so
+        the nvMC is swept for non-zero counters whose block never reached
+        media (possible without leaf write-through).  Roots are read with
+        ``dict.get``: a missing one means all-zero counters, and recovery
+        does not grow the nvMC."""
+        amap, arity = self.amap, self.amap.arity
         failures: list[int] = []
-        reads = 0
-        for index in range(self.amap.num_counter_blocks):
-            leaf = self.store.load(0, index, counted=False)
-            reads += 1
-            expect_node(leaf, CounterBlock, "bmf: recovery scan")
-            root = self._persistent_root(index // self.amap.arity)
-            addr = self.amap.counter_block_addr(index)
-            if not leaf.verify(self.mac, addr,
-                               root.counter(self.amap.parent_slot(index))):
+        written: set[int] = set()
+        for leaf in self.store.written_leaves():
+            index = leaf.index
+            written.add(index)
+            root = self._nvmc.get(index // arity)
+            parent = 0 if root is None else root.counter(index % arity)
+            if not leaf.verify(self.mac, amap.counter_block_addr(index),
+                               parent):
                 failures.append(index)
+        for root_index, root in self._nvmc.items():
+            for slot, counter in enumerate(root.counters):
+                index = root_index * arity + slot
+                if counter and index not in written:
+                    failures.append(index)
+        failures.sort()
+        reads = amap.num_counter_blocks
         success = not failures
         return RecoveryReport(
             scheme=self.name, success=success, root_matched=success,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cme.counters import CounterBlock
+from repro.crash.recovery import group_by_parent
 from repro.errors import ConfigError, IntegrityError
 from repro.mem.address import CACHE_LINE_SIZE
 from repro.obs import events as ev
@@ -195,31 +196,33 @@ class BMTEagerController(SecureMemoryController):
     # Recovery: rebuild digests bottom-up (BMT's native strength)
     # ==================================================================
     def recover(self) -> RecoveryReport:
-        amap = self.amap
-        reads = 0
-        digests: list[int] = []
-        for index in range(amap.num_counter_blocks):
-            raw = self.nvm.peek_line(amap.counter_block_addr(index))
-            leaf = CounterBlock.from_bytes(index, raw)
-            reads += 1
-            digests.append(0 if leaf.is_blank else self._digest_of(leaf))
-        rebuilt: list[BMTMediaNode] = []
+        amap, arity = self.amap, self.amap.arity
+        # Only the leaves the media holds are read back: a never-written
+        # leaf is blank, and a blank node's digest is 0.  Intermediate
+        # levels are sparse maps of the nodes with a non-zero child.
+        digests = {leaf.index: self._digest_of(leaf)
+                   for leaf in self.store.written_leaves()
+                   if not leaf.is_blank}
+        levels: list[dict[int, BMTMediaNode]] = []
         for level in range(1, amap.tree_levels):
-            nodes = []
-            for index in range(amap.level_width(level)):
-                chunk = digests[index * amap.arity:(index + 1) * amap.arity]
-                chunk += [0] * (amap.arity - len(chunk))
-                nodes.append(BMTMediaNode(level, index, chunk, amap.arity))
-            digests = [0 if node.is_blank else self._digest_of(node)
-                       for node in nodes]
-            rebuilt.extend(nodes)
-        rebuilt_roots = digests + [0] * (amap.arity - len(digests))
+            nodes = {index: BMTMediaNode(level, index, chunk, arity)
+                     for index, chunk
+                     in group_by_parent(digests, arity).items()}
+            digests = {index: self._digest_of(node)
+                       for index, node in nodes.items() if not node.is_blank}
+            levels.append(nodes)
+        rebuilt_roots = [digests.get(slot, 0) for slot in range(arity)]
         success = rebuilt_roots == self.root_digests
         writes = 0
         if success:
-            for node in rebuilt:
-                self.store.save(node, counted=False)
-                writes += 1
+            # Every node of every level, blank ones included.
+            for level, nodes in enumerate(levels, start=1):
+                for index in range(amap.level_width(level)):
+                    node = nodes.get(index) \
+                        or BMTMediaNode(level, index, arity=arity)
+                    self.store.save(node, counted=False)
+                    writes += 1
+        reads = amap.num_counter_blocks
         return RecoveryReport(
             scheme=self.name, success=success, root_matched=success,
             metadata_reads=reads, metadata_writes=writes,

@@ -14,7 +14,7 @@ inspection, accounted separately by the recovery cost model).
 from __future__ import annotations
 
 from repro.cme.counters import CounterBlock
-from repro.mem.address import AddressMap
+from repro.mem.address import CACHE_LINE_SIZE, AddressMap
 from repro.mem.nvm import NVMDevice
 from repro.tree.node import SITNode
 
@@ -43,6 +43,20 @@ class SITStore:
         if level == 0:
             return CounterBlock.from_bytes(index, raw)
         return SITNode.from_bytes(level, index, raw, arity=self.amap.arity)
+
+    def written_leaves(self) -> list[CounterBlock]:
+        """Every counter block the media holds, in index order, read
+        without counting accesses.
+
+        A block missing from the list was never written: it is blank, its
+        dummy counter is 0, and it verifies only against a zero parent
+        counter.  Recovery scans therefore visit these blocks alone and
+        cost what was written, not ``num_counter_blocks``.
+        """
+        base = self.amap.counter_base
+        return [CounterBlock.from_bytes((addr - base) // CACHE_LINE_SIZE, raw)
+                for addr, raw in self.nvm.stored_lines(base,
+                                                       self.amap.tree_base)]
 
     def save(self, node: TreeNode, counted: bool = True) -> int:
         """Serialise ``node`` back to its media address; returns the

@@ -50,6 +50,17 @@ class TestFunctional:
         with pytest.raises(AddressError):
             NVMDevice(100)
 
+    def test_stored_lines_lists_a_range_in_address_order(self, nvm):
+        for addr in (640, 64, 4096, 128):
+            nvm.write_line(addr, addr.to_bytes(64, "little"))
+        nvm.poke_line(192, bytes(64))  # zeroed, but stored
+        assert nvm.stored_lines(64, 4096) == [
+            (64, (64).to_bytes(64, "little")),
+            (128, (128).to_bytes(64, "little")),
+            (192, bytes(64)),
+            (640, (640).to_bytes(64, "little"))]
+        assert nvm.stored_lines(256, 640) == []
+
 
 class TestAccessCounting:
     def test_reads_and_writes_counted(self, nvm):
@@ -63,6 +74,11 @@ class TestAccessCounting:
         nvm.peek_line(0)
         assert nvm.stats.counter("reads").value == 0
         assert nvm.stats.counter("writes").value == 0
+
+    def test_stored_lines_uncounted(self, nvm):
+        nvm.poke_line(0, b"\x01" * 64)
+        nvm.stored_lines(0, CAP)
+        assert nvm.stats.counter("reads").value == 0
 
     def test_peek_sees_poked_data(self, nvm):
         nvm.poke_line(0, b"\x07" * 64)

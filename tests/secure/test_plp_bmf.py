@@ -110,6 +110,18 @@ class TestBMFIdeal:
         controller.crash()
         assert controller.recover().success
 
+    @pytest.mark.parametrize("write_through", [True, False])
+    def test_recovery_does_not_grow_the_nvmc(self, write_through):
+        """Recovery reads the persistent roots; a level-1 index never
+        written has no root, and reading it must not create one."""
+        controller = run_writes(BMFIdealController(small_config(
+            "bmf-ideal", leaf_write_through=write_through)), n=10)
+        controller.crash()
+        roots = len(controller._nvmc)
+        assert roots < controller.amap.level_width(1)
+        controller.recover()
+        assert len(controller._nvmc) == roots
+
     def test_tampered_leaf_detected_at_recovery(self):
         from repro.crash.attacks import roll_forward_leaf
         controller = BMFIdealController(small_config("bmf-ideal"))

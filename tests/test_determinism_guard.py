@@ -17,11 +17,19 @@ value, the exported result changes and this test fails.
   scalar loop and again under the epoch engine;
   :class:`~repro.sim.epoch.EpochEngine` raises on an ineligible run, so
   a silent fallback cannot pass as epoch coverage.
+* ``RECOVERY_GOLDEN`` pins crash recovery: a 16 MiB system power-failed
+  right after a persist (or tampered with, for the Table I trials) and
+  recovered.  Each digest covers the :class:`RecoveryReport` and a
+  sha256 of the post-recovery media (every stored line in address
+  order, plus the count of lines ever stored), so a recovery that
+  reports the same verdict but writes back a different tree still
+  fails.
 
 Recompute a digest only after deliberately changing simulation
 semantics, with the recipe helpers below.
 """
 
+import hashlib
 import json
 import tempfile
 
@@ -30,9 +38,18 @@ import pytest
 from repro.analysis.sanitizer import attach_sanitizer
 from repro.bench.figures import fig10_execution_time
 from repro.bench.harness import BenchScale
+from repro.crash import (
+    CrashPlan,
+    replay_leaf,
+    roll_forward_leaf,
+    run_with_crash,
+    snapshot_leaf,
+)
+from repro.crash.attacks import combined_attack
 from repro.perf.harness import result_digest
 from repro.secure import vector
 from repro.sim import epoch
+from repro.sim.config import SystemConfig
 from repro.sim.system import System
 from repro.workloads import make_workload
 
@@ -71,6 +88,48 @@ FIG10_QUICK_GOLDEN = \
 #: ``CampaignStore`` and read back through ``get_raw``.
 SERVE_CACHE_HIT_GOLDEN = \
     "1d09954973c7b3bd5f17093daee1f863bf27d414da461304a1c763c86b02a4a5"
+
+#: Crash recovery at 16 MiB, array workload (seed 42): the report plus
+#: the post-recovery media.  Crash trials crash right after the first
+#: persist at or beyond access 150; Table I trials run the whole trace
+#: on SCUE, then crash and tamper.
+RECOVERY_GOLDEN = {
+    "crash:scue":
+        "a4035babf3da4986789bbc048d95e98a0226bbd1fe668fde8e77213078793475",
+    "crash:plp":
+        "205cecb5ca8e7dfc39f941b46cffa31395e9bfee0273a244d59d096a770dcea1",
+    "crash:eager":
+        "3e54058aec25b8141d2c2ac7f56264898719bde4f8b398f3a373bb9ae3a87b7b",
+    "crash:lazy":
+        "681df6784fe58c7a92da8ec7b46389db41cc366a614fbee7ad8c5e7c2977dd2a",
+    "crash:bmt-eager":
+        "b28250d2cf88eda271da2682d948e62d2648201b53415968403f9046973d3c31",
+    "crash:bmf-ideal":
+        "85768c4044da57f6c98485e376182c3c82d0cb8e3502f26b53cd5e4a4ecda060",
+    "crash:bmf-ideal-no-wt":
+        "6f7f4521ab14b81ee8182962482a90145673e8c6e59e5b915b0931f456df1ee8",
+    "attack:roll_forward":
+        "a2032ec8155a862f39780a7739ba6c8253998dc12cd8e023ece7d8ba6b8bc04e",
+    "attack:replay_roll_back":
+        "b566fdda2f4c4d7b2c5e8db71aa965e71f32408ca3f9ef66987a26d78ba2cb5b",
+    "attack:forward_plus_back":
+        "b4233dd8c2534682655afd26b01eff75b0dd3f9caa4f94f622f8be4f7aa4573f",
+    "attack:no_attack_control":
+        "ad46a6e0ca6b529c3fce343e7b107dcc2f8ebb18f8359254c472543a2502e255",
+}
+
+RECOVERY_CAPACITY = 16 * 1024 * 1024
+RECOVERY_CRASH_AT = 150
+#: ``trial -> (scheme, config overrides)``.
+RECOVERY_TRIALS = {
+    "crash:scue": ("scue", {}),
+    "crash:plp": ("plp", {}),
+    "crash:eager": ("eager", {}),
+    "crash:lazy": ("lazy", {}),
+    "crash:bmt-eager": ("bmt-eager", {}),
+    "crash:bmf-ideal": ("bmf-ideal", {}),
+    "crash:bmf-ideal-no-wt": ("bmf-ideal", {"leaf_write_through": False}),
+}
 
 
 def array_trace(scale: BenchScale):
@@ -126,6 +185,54 @@ def serve_cache_hit_digest() -> str:
     return result_digest(json.loads(data))
 
 
+def media_sha(nvm) -> str:
+    """sha256 over every stored line in address order, then the number
+    of lines ever stored."""
+    digest = hashlib.sha256()
+    for addr, raw in sorted(nvm._lines.items()):
+        digest.update(addr.to_bytes(8, "little"))
+        digest.update(raw)
+    digest.update(nvm.lines_written.to_bytes(8, "little"))
+    return digest.hexdigest()
+
+
+def _table1_attack(system: System, attack: str) -> None:
+    """Power-fail ``system`` and tamper with its media (Table I)."""
+    ctl = system.controller
+    if attack == "replay_roll_back":
+        # Snapshot a leaf, advance it once more so the snapshot is stale,
+        # then replay it after the crash.
+        ctl.write_data(0, None, cycle=system.cycle + 100)
+        snapshot = snapshot_leaf(ctl.store, 0)
+        ctl.write_data(0, None, cycle=system.cycle + 200)
+        system.crash()
+        replay_leaf(ctl.store, snapshot)
+        return
+    system.crash()
+    if attack == "roll_forward":
+        roll_forward_leaf(ctl.store, 0, slot=3, amount=2)
+    elif attack == "forward_plus_back":
+        combined_attack(ctl.store, forward_index=0, back_index=1, slot=2,
+                        amount=1)
+
+
+def recovery_digest(trial: str) -> str:
+    kind, name = trial.split(":")
+    scheme, overrides = RECOVERY_TRIALS.get(trial, ("scue", {}))
+    system = System(SystemConfig(scheme=scheme,
+                                 data_capacity=RECOVERY_CAPACITY,
+                                 **overrides))
+    trace = make_workload("array", RECOVERY_CAPACITY, 300, seed=42).trace()
+    if kind == "attack":
+        system.run(trace)
+        _table1_attack(system, name)
+    else:
+        run_with_crash(system, trace, CrashPlan(RECOVERY_CRASH_AT))
+    report = system.recover()
+    return result_digest({"report": report,
+                          "media": media_sha(system.controller.nvm)})
+
+
 needs_numpy = pytest.mark.skipif(
     not vector.HAVE_NUMPY, reason="epoch engine requires numpy")
 
@@ -142,6 +249,9 @@ CASES = (
                     id="fig10_quick"),
        pytest.param(serve_cache_hit_digest, (), SERVE_CACHE_HIT_GOLDEN,
                     id="serve_cache_hit")]
+    + [pytest.param(recovery_digest, (trial,), RECOVERY_GOLDEN[trial],
+                    id=f"recovery:{trial}")
+       for trial in RECOVERY_GOLDEN]
 )
 
 

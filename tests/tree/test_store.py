@@ -44,6 +44,21 @@ class TestRoundtrips:
         assert store.save(leaf) == store.amap.counter_block_addr(2)
 
 
+class TestWrittenLeaves:
+    def test_lists_stored_counter_blocks_in_index_order(self, store):
+        for index in (9, 2, 5):
+            leaf = CounterBlock(index)
+            leaf.bump(index)
+            store.save(leaf, counted=False)
+        store.save(SITNode(1, 0), counted=False)  # not a leaf
+        leaves = store.written_leaves()
+        assert [leaf.index for leaf in leaves] == [2, 5, 9]
+        assert all(leaf.minors[leaf.index] == 1 for leaf in leaves)
+
+    def test_fresh_media_holds_no_leaves(self, store):
+        assert store.written_leaves() == []
+
+
 class TestAccessCounting:
     def test_counted_accesses_hit_device_stats(self, store):
         store.save(SITNode(1, 0), counted=True)
