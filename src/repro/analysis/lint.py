@@ -851,56 +851,6 @@ class HotPathAllocationRule(LintRule):
 
 
 # ======================================================================
-# RPL015 — vectorized epoch kernels stay vectorized
-# ======================================================================
-class ScalarPathInEpochKernelRule(LintRule):
-    """Per-element Python iteration inside a declared epoch kernel.
-
-    The functions named in :data:`repro.secure.vector.HOT_KERNELS` are
-    the batched engine's whole-array passes; the digest oracle proves
-    their *behaviour* but is blind to a kernel quietly degrading into a
-    per-line loop.  Like RPL009, the scope is a declarative list owned
-    by the kernel module itself, so adding a kernel to ``HOT_KERNELS``
-    opts it into the check in the same edit that declares it hot."""
-
-    name = "scalar-path-in-epoch-kernel"
-    paths = ("secure/vector.py",)
-
-    def _describe(self, node: ast.AST) -> str | None:
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            return "for loop"
-        if isinstance(node, ast.While):
-            return "while loop"
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                             ast.GeneratorExp)):
-            return "comprehension"
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "get":
-            return ".get() lookup"
-        return None
-
-    def check(self, mod: ParsedModule) -> Iterator[Violation]:
-        from repro.secure.vector import HOT_KERNELS
-        hot = frozenset(HOT_KERNELS)
-        for func in ast.walk(mod.tree):
-            if not isinstance(func,
-                              (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    or func.name not in hot:
-                continue
-            for node in ast.walk(func):
-                what = self._describe(node)
-                if what is not None:
-                    yield self.violation(
-                        mod, node,
-                        f"{what} in vectorized kernel '{func.name}' "
-                        "runs per element — keep HOT_KERNELS whole-"
-                        "array numpy passes, or move the per-row "
-                        "residue into a batch_* boundary helper "
-                        "outside the hot list")
-
-
-# ======================================================================
 # RPL010 — every metadata persist path is an explorer event seam
 # ======================================================================
 class UnexploredPersistBoundaryRule(LintRule):
@@ -1242,7 +1192,6 @@ _FLAT_RULE_CLASSES: tuple[type[LintRule], ...] = (
     StatCounterDisciplineRule,
     ObsUnattributedCyclesRule,
     HotPathAllocationRule,
-    ScalarPathInEpochKernelRule,
     UnexploredPersistBoundaryRule,
     NondeterministicReportRule,
 )

@@ -219,23 +219,6 @@ ALL_RULES: tuple[RuleInfo, ...] = (
                   "run_in_executor — the scheduler already does this "
                   "for run_cell and store.put.",
     ),
-    RuleInfo(
-        id="RPL015",
-        name="scalar-path-in-epoch-kernel",
-        summary="per-element Python loop or dict lookup inside a "
-                "declared vectorized epoch kernel",
-        rationale="The epoch engine's speedup rests on the kernels in "
-                  "repro.secure.vector.HOT_KERNELS staying whole-array "
-                  "numpy passes: one window, one call.  A for/while "
-                  "loop, a comprehension, or a dict .get() inside one "
-                  "re-introduces the per-line Python interpreter cost "
-                  "the batched engine exists to amortize — silently, "
-                  "because the digest oracle only checks behaviour, "
-                  "never speed.  Per-row hash loops are the "
-                  "irreducible residue (hashlib has no batch API) and "
-                  "live in the batch_* boundary helpers, which are "
-                  "deliberately outside the hot list.",
-    ),
 )
 
 _BY_NAME = {rule.name: rule for rule in ALL_RULES}

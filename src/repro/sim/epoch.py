@@ -2,18 +2,12 @@
 
 The scalar path (`System.execute` + the controller's `write_data` /
 `read_data`) walks one access at a time through ~175 Python calls.  This
-engine runs the same trace in *epochs*: a planner scans ahead over a
-bounded window (:data:`EPOCH_WINDOW` rows), groups the window's persists
-by their counter-block branch (the interned chains from
-`AddressMap.branch_coords` / `branch_addrs`), predicts each row's
-post-bump counter state with the vectorized kernels in
-`repro.secure.vector`, and pre-seeds the scalar layer's content-keyed
-memos (counter images, SCUE leaf seals) in bulk.  An inlined interpreter
-then executes the window: it replicates the scalar statement stream —
-every counter increment, histogram bucket, memo probe and NVM row-buffer
-touch, in the same order with the same values — so the `sha256` result
-digests pinned in `tests/test_determinism_guard.py` are byte-identical by
-construction.
+engine runs the same trace in *epochs* of :data:`EPOCH_WINDOW` rows
+through an inlined interpreter that replicates the scalar statement
+stream — every counter increment, histogram bucket, memo probe and NVM
+row-buffer touch, in the same order with the same values — so the
+`sha256` result digests pinned in `tests/test_determinism_guard.py` are
+byte-identical by construction.
 
 The interpreter inlines the whole metadata path: the fetch-and-verify
 chain (`_fetch_chain` / `fetch_node`), cache install with its eviction
@@ -26,22 +20,9 @@ from the CPU caches (`write_data`), and the not-resident re-dirty path
 Why digests cannot drift
 ------------------------
 
-Two properties carry the equivalence argument:
-
-* **Content-keyed memos are pure.**  The planner only ever *seeds*
-  caches (``KeyedMac.memo``, the counter-image memo) whose values are
-  pure functions of their keys.  A misprediction (a leaf bumped by an
-  eviction writeback, an unplanned overflow) just misses the memo and
-  recomputes — the planner can change *when* work happens, never *what*
-  is computed.  OTP pads and data MACs are deliberately **not**
-  pre-seeded: their cost is the `blake2b` call itself, which batching
-  cannot amortise (hashlib has no batch API), so planning them moves
-  work without removing it.  The SCUE leaf-seal pipeline is different —
-  the scalar 64-iteration counter-image pack dominates there, and
-  `pack_counter_images` + `seal_messages` vectorize it exactly.
-* **The interpreter is a statement-for-statement transcription** of the
-  scalar hot path.  Every inlined statement mutates the same counters,
-  memos and media image the scalar code would, in the same order.
+The interpreter is a statement-for-statement transcription of the
+scalar hot path.  Every inlined statement mutates the same counters,
+memos and media image the scalar code would, in the same order.
 
 Fallback triggers
 -----------------
@@ -54,8 +35,7 @@ machinery knobs (`check_data`, wear tracking, recovery trackers, Osiris
 limits, deferred leaves), subclassed components, or a scheme without a
 transcribed tail — falls back to the scalar loop, so `repro.crash`, the
 explorer and `repro.obs` attribution always see the unchanged event
-stream.  Scalar-only environments (no numpy) are ineligible by the same
-gate and never import the kernels.
+stream.
 """
 
 from __future__ import annotations
@@ -63,7 +43,6 @@ from __future__ import annotations
 from hashlib import blake2b
 from itertools import islice
 
-from repro.cme import counters as _counters
 from repro.cme.counters import MINOR_LIMIT, CounterBlock
 from repro.cme.encryption import CMEEngine
 from repro.errors import (
@@ -78,7 +57,6 @@ from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.nvm import ZERO_LINE, NVMDevice
 from repro.mem.trace import AccessType
 from repro.mem.wpq import WPQEntry, WritePendingQueue
-from repro.secure import vector
 from repro.secure.base import REGISTER_UPDATE_CYCLES, expect_node
 from repro.secure.baseline import BaselineController
 from repro.secure.bmf import BMFIdealController
@@ -91,11 +69,8 @@ from repro.tree.node import SITNode
 from repro.tree.store import SITStore
 from repro.util.crypto import KeyedMac, make_otp
 
-#: Trace rows per epoch: the planner's look-ahead window.
+#: Trace rows per epoch.
 EPOCH_WINDOW = 1024
-#: Below this many predictable persists in a window, planning costs more
-#: than the memo hits save; the interpreter alone still wins.
-PLAN_MIN_ROWS = 24
 
 #: Controller classes with a transcribed scheme tail.  Anything else
 #: (e.g. the BMT eager-climb family) runs scalar.
@@ -140,8 +115,6 @@ _SEAM_METHODS: tuple[tuple[str, tuple[str, ...]], ...] = (
 def ineligible_reason(system) -> str | None:
     """Why this run must take the scalar path, or ``None`` if the epoch
     engine can reproduce it byte-identically."""
-    if not vector.HAVE_NUMPY:
-        return "numpy is not available"
     from repro.sim.system import System
     if type(system) is not System:
         return f"subclassed system ({type(system).__name__})"
@@ -237,7 +210,7 @@ def run_trace(system, trace) -> bool:
 
 
 class EpochEngine:
-    """One run's worth of bound-state interpreter + planner.
+    """One run's worth of bound-state interpreter.
 
     Construct per :meth:`System.run` call — eligibility (and the
     sanitizer's seam patches) are re-checked each run, and histogram /
@@ -245,23 +218,22 @@ class EpochEngine:
     them).
     """
 
-    def __init__(self, system, plan: bool = True) -> None:
+    #: Always 0; perfbench's ``epoch.planned_row_ratio`` still reads it.
+    planned_rows = 0
+
+    def __init__(self, system) -> None:
         reason = ineligible_reason(system)
         if reason is not None:
             raise ConfigError(f"epoch engine ineligible: {reason}")
         self.system = system
         self.flavor = _FLAVORS[type(system.controller)]
-        self.plan_enabled = plan
-        #: Planner telemetry (engine-local on purpose: anything pushed
-        #: into the StatGroups would change the digested stats dict).
-        self.epochs = 0
-        self.planned_rows = 0
+        #: Rows executed (engine-local on purpose: anything pushed into
+        #: the StatGroups would change the digested stats dict).
         self.window_rows = 0
 
     # ------------------------------------------------------------------
     def run(self, trace) -> None:
         """Execute the whole trace in :data:`EPOCH_WINDOW`-row epochs."""
-        np = vector.np
         system = self.system
         flavor = self.flavor
         is_scue = flavor == "scue"
@@ -1362,109 +1334,18 @@ class EpochEngine:
                 apply_due(cycle)
             wpq_advance(cycle)
 
-        # ---- the planner: vectorized SCUE leaf-seal pre-seeding ------
-        PERSIST = AccessType.PERSIST
-        mac_key = mac._key
-        image_memo = _counters._IMAGE_MEMO
-        image_limit = _counters._IMAGE_MEMO_LIMIT
-
-        def plan(window):
-            """Predict the window's SCUE leaf seals and seed the
-            content-keyed memos in bulk.  Pure cache warming: every
-            seeded value is a function of its key, so mispredictions
-            (eviction writebacks, overflows) simply miss and recompute.
-
-            SCUE-only by design: the leaf-seal pipeline (counter image
-            pack + seal MAC input) is the one place the scalar cost is
-            Python packing rather than the hash itself — the image memo
-            is always cold there because every persist creates a new
-            counter state.  OTP/data-MAC seeding was measured to move
-            `blake2b` work without removing any and is deliberately
-            absent."""
-            rows = []
-            append = rows.append
-            states = {}   # leaf_index -> [major, minors_copy, minor_sum]
-            poisoned = set()
-            for access in window:
-                if access.kind is not PERSIST:
-                    continue
-                line = access.addr & -64
-                if line < 0 or line >= cap:
-                    continue
-                leaf_index = line >> 12
-                if leaf_index in poisoned:
-                    continue
-                state = states.get(leaf_index)
-                if state is None:
-                    maddr = cap + (leaf_index << 6)
-                    cached = mc_sets[(maddr >> 6) % mc_nsets].get(maddr)
-                    if cached is not None and \
-                            cached.payload.__class__ is CounterBlock:
-                        blk = cached.payload
-                    else:
-                        raw = nvm_lines.get(maddr)
-                        if raw is None:
-                            blk = None
-                        else:
-                            blk = cb_from_bytes(leaf_index, raw)
-                    if blk is None:
-                        state = [0, [0] * 64, 0]
-                    else:
-                        minors = list(blk.minors)
-                        state = [blk.major, minors, sum(minors)]
-                    states[leaf_index] = state
-                slot = (line >> 6) & 63
-                minors = state[1]
-                minor = minors[slot] + 1
-                if minor >= MINOR_LIMIT:
-                    # Overflow re-encrypts the whole block; later rows
-                    # of this leaf are unpredictable.
-                    poisoned.add(leaf_index)
-                    continue
-                minors[slot] = minor
-                state[2] += 1
-                append((leaf_index, state[0], tuple(minors),
-                        (state[0] * 64 + state[2]) & cmask))
-            k = len(rows)
-            if k < PLAN_MIN_ROWS:
-                return
-            self.planned_rows += k
-            majors_arr = np.fromiter((r[1] for r in rows),
-                                     dtype=np.uint64, count=k)
-            minors_mat = np.array([r[2] for r in rows], dtype=np.uint64)
-            dummies_arr = np.fromiter((r[3] for r in rows),
-                                      dtype=np.uint64, count=k)
-            maddrs_arr = np.fromiter((cap + (r[0] << 6) for r in rows),
-                                     dtype=np.uint64, count=k)
-            images = vector.pack_counter_images(majors_arr, minors_mat)
-            seal_vals = vector.batch_keyed_hash8(
-                mac_key,
-                vector.seal_messages(maddrs_arr, images, dummies_arr))
-            image_bytes = images.tobytes()
-            for i in range(k):
-                row = rows[i]
-                skey = ("leaf", cap + (row[0] << 6), row[1], row[2],
-                        row[3])
-                if skey not in mac_memo:
-                    if len(mac_memo) >= mac_limit:
-                        mac_memo.clear()
-                    mac_memo[skey] = seal_vals[i]
-                ikey = (row[1], row[2])
-                if ikey not in image_memo:
-                    if len(image_memo) >= image_limit:
-                        image_memo.clear()
-                    image_memo[ikey] = image_bytes[i * 56:(i + 1) * 56]
-
         # ---- epoch loop ----------------------------------------------
-        plan_scue = self.plan_enabled and is_scue
         it = iter(trace)
-        while True:
-            window = list(islice(it, EPOCH_WINDOW))
-            if not window:
-                break
-            self.epochs += 1
-            self.window_rows += len(window)
-            if plan_scue:
-                plan(window)
-            for access in window:
-                execute(access)
+        try:
+            while True:
+                window = list(islice(it, EPOCH_WINDOW))
+                if not window:
+                    break
+                self.window_rows += len(window)
+                for access in window:
+                    execute(access)
+        finally:
+            # chain_miss <-> fetch_chain and install -> flush_victim ->
+            # ... -> install are closure cycles that hold the whole
+            # machine; cut both so refcounting frees a finished run.
+            fetch_chain = flush_victim = None  # noqa: F811

@@ -161,8 +161,8 @@ class System:
 
     def run(self, trace: Iterable[MemoryAccess]) -> None:
         if self.engine == "auto":
-            # Lazy import: the epoch engine pulls in the scheme stack
-            # and (optionally) numpy; the scalar path never needs it.
+            # Lazy import: the epoch engine pulls in every scheme's
+            # controller; the scalar path never needs it.
             from repro.sim import epoch
             if epoch.run_trace(self, trace):
                 return

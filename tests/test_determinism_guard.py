@@ -47,7 +47,6 @@ from repro.crash import (
 )
 from repro.crash.attacks import combined_attack
 from repro.perf.harness import result_digest
-from repro.secure import vector
 from repro.sim import epoch
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
@@ -233,16 +232,12 @@ def recovery_digest(trial: str) -> str:
                           "media": media_sha(system.controller.nvm)})
 
 
-needs_numpy = pytest.mark.skipif(
-    not vector.HAVE_NUMPY, reason="epoch engine requires numpy")
-
 CASES = (
     [pytest.param(fig10_quick_digest, (scheme,), GOLDEN[scheme],
                   id=scheme)
      for scheme in sorted(GOLDEN)]
     + [pytest.param(scheme_digest, (scheme, engine), SCHEME_GOLDEN[scheme],
-                    id=f"scheme:{scheme}-{engine}",
-                    marks=[needs_numpy] if engine == "epoch" else [])
+                    id=f"scheme:{scheme}-{engine}")
        for scheme in sorted(SCHEME_GOLDEN)
        for engine in ("scalar", "epoch")]
     + [pytest.param(fig10_figure_digest, (), FIG10_QUICK_GOLDEN,

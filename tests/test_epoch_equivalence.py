@@ -17,7 +17,9 @@ halves of that promise:
   ``engine="auto"`` silently takes the scalar loop and the sanitizer
   observes the exact same persist-event stream as an explicit scalar
   run, while driving :class:`~repro.sim.epoch.EpochEngine` directly
-  refuses loudly.
+  refuses loudly;
+* a finished run leaves no reference cycle behind, so the simulated
+  machine is freed as soon as the last reference to it goes.
 
 Every batched run here drives ``EpochEngine`` itself rather than
 ``engine="auto"``: it raises on an ineligible run, so a silent fallback
@@ -26,6 +28,9 @@ can't masquerade as coverage.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.sanitizer import attach_sanitizer
@@ -33,14 +38,10 @@ from repro.cme.counters import MINOR_LIMIT
 from repro.errors import ConfigError
 from repro.mem.trace import AccessType, MemoryAccess
 from repro.perf.harness import result_digest
-from repro.secure import vector
 from repro.sim import epoch
 from repro.sim.system import System
 
 from tests.conftest import random_trace, small_config
-
-needs_numpy = pytest.mark.skipif(
-    not vector.HAVE_NUMPY, reason="epoch engine requires numpy")
 
 SCHEMES = ("baseline", "lazy", "eager", "plp", "bmf-ideal", "scue")
 
@@ -77,7 +78,6 @@ def hot_line_trace(persists: int) -> list[MemoryAccess]:
     return trace
 
 
-@needs_numpy
 class TestEngineEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("seed", (3, 11, 29))
@@ -107,19 +107,7 @@ class TestEngineEquivalence:
         assert result_digest(scalar.result("overflow")) \
             == result_digest(batched.result("overflow"))
 
-    def test_planner_off_matches_planner_on(self):
-        # plan=False runs the same inlined interpreter without memo
-        # pre-seeding; the memos are content-keyed, so nothing may move.
-        trace = random_trace(400, seed=5)
-        planned = build_system("scue")
-        epoch.EpochEngine(planned, plan=True).run(iter(trace))
-        unplanned = build_system("scue")
-        epoch.EpochEngine(unplanned, plan=False).run(iter(trace))
-        assert result_digest(planned.result("plan")) \
-            == result_digest(unplanned.result("plan"))
 
-
-@needs_numpy
 class TestSanitizerFallback:
     def test_sanitizer_makes_run_ineligible(self):
         system = build_system("scue")
@@ -158,12 +146,6 @@ class TestEligibilityGate:
         with pytest.raises(ConfigError, match="unknown engine 'epoch'"):
             build_system("scue", "epoch")
 
-    def test_scalar_only_environment_reports_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector, "HAVE_NUMPY", False)
-        system = build_system("scue")
-        assert epoch.ineligible_reason(system) == "numpy is not available"
-
-    @needs_numpy
     def test_recorder_disables_epoch(self):
         from repro.obs.recorder import TraceRecorder
 
@@ -171,8 +153,28 @@ class TestEligibilityGate:
         system = System(config, recorder=TraceRecorder())
         assert epoch.ineligible_reason(system) is not None
 
-    @needs_numpy
     def test_check_data_disables_epoch(self):
         system = System(small_config("scue", check_data=True))
         assert epoch.ineligible_reason(system) \
             == "check_data shadow verification"
+
+
+class TestFinishedRunIsFreed:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_no_reference_cycle_outlives_the_run(self, scheme):
+        # The interpreter's closures recurse into each other (the fetch
+        # chain, the eviction cascade); a cycle left among them would
+        # hold NVM media, caches and memos until the cyclic collector
+        # happened to run.  With the collector off, dropping the last
+        # reference must free the machine at once.
+        trace = random_trace(500, seed=7)
+        gc.disable()
+        try:
+            system = build_system(scheme)
+            assert epoch.ineligible_reason(system) is None
+            system.run(iter(trace))
+            nvm = weakref.ref(system.controller.nvm)
+            del system
+            assert nvm() is None
+        finally:
+            gc.enable()
