@@ -25,9 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.cme.counters import CounterBlock
 from repro.crash.recovery import METADATA_FETCH_NS
-from repro.errors import MetadataTypeError
 from repro.tree.node import SITNode
-from repro.util.bitfield import checked_sum
 
 
 @dataclass
@@ -100,10 +98,6 @@ def targeted_reconstruction(controller,
     for level, index in sorted(coord for coord in stale if coord[0] == 0):
         leaf = store.load(0, index, counted=False)
         result.metadata_reads += 1
-        if not isinstance(leaf, CounterBlock):
-            raise MetadataTypeError(
-                f"level-0 node {index} is {type(leaf).__name__}, "
-                "expected CounterBlock")
         addr = amap.counter_block_addr(index)
         if not leaf.verify(mac, addr, leaf.dummy_counter(bits)):
             result.leaf_hmac_failures.append(index)
@@ -133,8 +127,7 @@ def targeted_reconstruction(controller,
     dummies = []
     for index in range(amap.level_width(top)):
         dummies.append(_child_dummy(controller, top, index, bits, result))
-    root_counters = dummies + [0] * (amap.arity - len(dummies))
-    result.root_counters = [checked_sum([c], bits) for c in root_counters]
+    result.root_counters = dummies + [0] * (amap.arity - len(dummies))
     result.root_matched = \
         controller.recovery_root.matches(result.root_counters)
     return result

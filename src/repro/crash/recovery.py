@@ -18,7 +18,13 @@ child node (the child's *dummy counter*).  Recovery therefore:
    which catches **replay/roll-back** attacks (Table I, row 2), and
 5. on success seals every node of every level — blank subtrees included,
    each with its own dummy — and writes the rebuilt tree back to media so
-   runtime verification resumes from a consistent image.
+   runtime verification resumes from a consistent image.  A blank node
+   (absent from its level's map: zero counters, parent counter 0) has a
+   constant image, so its line is that image plus the MAC of its address
+   alone, hashed from one keyed state copied per node
+   (:meth:`SITNode.blank_line`); the nodes with a written descendant
+   are built and sealed as ``SITNode`` objects.  Both write the same
+   lines, in the same order, that sealing every node would.
 
 The same routine doubles as the "reconstruct and compare" recovery attempt
 for the Lazy and Eager baselines — demonstrating the root crash
@@ -119,12 +125,19 @@ def counter_summing_reconstruction(
 
     # -- Step 5: write back on a clean recovery ----------------------
     if write_back and result.clean:
+        keyed = mac.keyed_state()
+        blank_line = SITNode.blank_line
+        node_addr, poke = store.node_addr, store.nvm.poke_line
         for level, groups in enumerate(levels, start=1):
-            for index in range(amap.level_width(level)):
-                node = SITNode(level, index, counters=groups.get(index),
-                               arity=arity)
-                node.seal(mac, store.node_addr(level, index),
-                          node.dummy_counter())
+            width = amap.level_width(level)
+            for index in range(width):
+                counters = groups.get(index)
+                if counters is None:
+                    addr = node_addr(level, index)
+                    poke(addr, blank_line(keyed, addr))
+                    continue
+                node = SITNode(level, index, counters=counters, arity=arity)
+                node.seal(mac, node_addr(level, index), node.dummy_counter())
                 store.save(node, counted=False)
-                result.metadata_writes += 1
+            result.metadata_writes += width
     return result

@@ -192,9 +192,10 @@ class SetAssociativeCache:
 
     def drop_all(self) -> list[CacheLine]:
         """Empty the cache, returning every line that was resident (crash
-        handling: the caller decides what an eADR domain persists)."""
+        handling: the caller decides what an eADR domain persists).
+        Empty sets, most of them at a crash, are skipped unvisited."""
         lines: list[CacheLine] = []
-        for cache_set in self._sets:
+        for cache_set in filter(None, self._sets):
             lines.extend(cache_set.values())
             cache_set.clear()
         return lines

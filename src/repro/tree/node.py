@@ -18,6 +18,7 @@ under eager/SCUE updating it equals the node's parent counter.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -35,6 +36,11 @@ COUNTER_MASK = (1 << COUNTER_BITS) - 1
 _IMAGE_BITS = 448
 _IMAGE_BYTES = _IMAGE_BITS // 8
 _HMAC_MASK = (1 << HMAC_BITS) - 1
+
+#: A blank node's counter image, and what its MAC hashes after the
+#: address: that image, then the zero parent counter as an 8-byte word.
+_BLANK_IMAGE = bytes(_IMAGE_BYTES)
+_BLANK_MAC_TAIL = _BLANK_IMAGE + bytes(8)
 
 #: Raw-image parse memo (see the counterpart in repro.cme.counters): the
 #: field split of a 64 B image is pure, so repeated loads of the same
@@ -180,6 +186,19 @@ class SITNode:
         value = int.from_bytes(self._counter_image(), "little") \
             | (self.hmac << _IMAGE_BITS)
         return value.to_bytes(CACHE_LINE_SIZE, "little")
+
+    @staticmethod
+    def blank_line(keyed: hashlib.blake2b, node_addr: int) -> bytes:
+        """The media line of a blank node sealed against parent counter
+        0, without building the node: the zero counter image, then
+        HMAC(address || zero image || 0) as the 8-byte digest of a copy
+        of ``keyed`` (:meth:`KeyedMac.keyed_state`).  Every layout packs
+        its zero counters into the same 56 zero bytes, so the line
+        equals ``seal(mac, node_addr, 0)`` + :meth:`to_bytes` at any
+        arity."""
+        state = keyed.copy()
+        state.update(node_addr.to_bytes(8, "little") + _BLANK_MAC_TAIL)
+        return _BLANK_IMAGE + state.digest()
 
     @classmethod
     def from_bytes(cls, level: int, index: int, data: bytes,

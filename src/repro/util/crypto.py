@@ -80,6 +80,14 @@ class KeyedMac:
         """Like :meth:`mac` but returns the raw 8-byte digest."""
         return self.mac(*parts).to_bytes(MAC_BYTES, "little")
 
+    def keyed_state(self) -> hashlib.blake2b:
+        """The keyed blake2b state every MAC starts from, before any
+        input.  A caller sealing many lines ``.copy()``-es it per line
+        instead of keying a fresh state each time; ``copy().update(b)``
+        then ``digest()`` is :meth:`mac_uncached` of ``b`` as the raw
+        8-byte digest.  The key itself never leaves this object."""
+        return hashlib.blake2b(key=self._key, digest_size=MAC_BYTES)
+
 
 #: Derived-key cache for :func:`make_otp`: one blake2b per distinct user
 #: key instead of one per pad.  Keys are config constants, so this stays

@@ -214,6 +214,14 @@ ATTACKS = ("none", "roll_forward", "replay", "combined", "zeroed",
            "rolled_to_zero")
 
 
+#: Every scheme on the paper's 8-ary SIT (ids: the scheme's name) and
+#: on the 16- and 32-ary layouts of §VII.
+LAYOUTS = [pytest.param(scheme, arity, id=scheme if arity == 8
+                        else f"{scheme}-arity{arity}")
+           for arity in (8, 16, 32)
+           for scheme in ("scue", "plp", "eager", "lazy")]
+
+
 def leaf_of(line: int) -> int:
     return line // 64
 
@@ -255,11 +263,11 @@ class TestSparseMatchesDense:
     media line, in content or in insertion order."""
 
     @pytest.mark.parametrize("attack", ATTACKS)
-    @pytest.mark.parametrize("scheme", ["scue", "plp", "eager", "lazy"])
+    @pytest.mark.parametrize("scheme, arity", LAYOUTS)
     @given(lines=histories)
     @settings(max_examples=6, deadline=None)
-    def test_reconstruction(self, scheme, attack, lines):
-        controller = crashed(scheme, lines, attack)
+    def test_reconstruction(self, scheme, arity, attack, lines):
+        controller = crashed(scheme, lines, attack, tree_arity=arity)
         root = controller.recovery_root if scheme == "scue" \
             else controller.running_root
         nvm = controller.nvm
@@ -326,3 +334,42 @@ class TestRecoveryCost:
         report = controller.recover()
         assert 0 < len(parsed) <= stored
         assert report.metadata_reads == amap.num_counter_blocks == 262144
+
+    def test_builds_only_the_nodes_above_written_leaves(self, monkeypatch):
+        """At 1 GiB a clean SCUE recovery after 20 scattered writes still
+        writes all 37,448 intermediate nodes, but it builds and seals a
+        ``SITNode`` (and fills the MAC memo) only for those with a
+        written descendant: blank nodes are written from one keyed
+        state."""
+        controller = SCUEController(small_config(
+            "scue", data_capacity=1 << 30))
+        rng = random.Random(11)
+        for i in range(20):
+            controller.write_data(
+                rng.randrange(0, controller.config.data_capacity, 64),
+                None, cycle=i * 100)
+        controller.crash()
+        amap = controller.amap
+        indices = {(addr - amap.counter_base) // 64
+                   for addr in controller.nvm._lines
+                   if amap.counter_base <= addr < amap.tree_base}
+        non_blank = 0
+        for _ in range(1, amap.tree_levels):
+            indices = {index // amap.arity for index in indices}
+            non_blank += len(indices)
+        built = []
+        post_init = SITNode.__post_init__
+
+        def counting(node):
+            built.append((node.level, node.index))
+            post_init(node)
+
+        monkeypatch.setattr(SITNode, "__post_init__", counting)
+        memo_before = len(controller.mac.memo)
+        report = controller.recover()
+        assert report.success
+        assert 0 < len(built) <= non_blank
+        assert len(controller.mac.memo) - memo_before <= non_blank
+        assert report.metadata_writes == sum(
+            amap.level_width(level)
+            for level in range(1, amap.tree_levels)) == 37448

@@ -56,6 +56,20 @@ class TestBlank:
         assert node.verify(mac, 0x1000, 0)
         assert not node.verify(mac, 0x1000, 1)
 
+    @pytest.mark.parametrize("arity", [8, 16, 32])
+    def test_blank_line_is_the_sealed_blank_node(self, arity):
+        """Recovery writes blank nodes from one keyed state without
+        building them; each line must equal the sealed, packed node."""
+        mac = KeyedMac(b"k")
+        keyed = mac.keyed_state()
+        for level, addr in ((1, 0), (1, 0x40), (2, 0x12340),
+                            (3, 1 << 34), (5, (1 << 40) - 64)):
+            node = SITNode(level, 3, arity=arity)
+            node.seal(mac, addr, 0)
+            assert SITNode.blank_line(keyed, addr) == node.to_bytes()
+        # The state handed out is copied, never consumed.
+        assert keyed.digest() == mac.keyed_state().digest()
+
 
 class TestIntegrity:
     def test_seal_verify(self):
