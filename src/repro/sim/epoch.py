@@ -12,9 +12,10 @@ byte-identical by construction.
 The interpreter inlines the whole metadata path: the fetch-and-verify
 chain (`_fetch_chain` / `fetch_node`), cache install with its eviction
 cascade (`_install`), the per-scheme dirty-victim flush (`_flush_node`),
-WPQ enqueue/drain, and the controller tick.  Rare or stateful seams stay
-real calls: minor-counter overflows (`_bump_leaf`), eviction writebacks
-from the CPU caches (`write_data`), and the not-resident re-dirty path
+WPQ enqueue/drain, and the controller tick.  Every data write, a persist
+or a dirty writeback from the CPU caches, runs through one inlined
+`write_data`.  Rare or stateful seams stay real calls: minor-counter
+overflows (`_bump_leaf`) and the not-resident re-dirty path
 (`_mark_dirty`).
 
 Why digests cannot drift
@@ -321,7 +322,6 @@ class EpochEngine:
         wpq_stall_ctr = wpq._stall
         wpq_full_ctr = wpq._full_events
 
-        write_data = ctl.write_data  # eviction writebacks stay real
         bump_leaf = ctl._bump_leaf   # overflow: rare, stateful, real
         data_macs = ctl.data_macs
         plaintexts = ctl._plaintexts
@@ -1145,7 +1145,97 @@ class EpochEngine:
                 "lazy": tail_lazy, "scue": tail_scue,
                 "eager": tail_eager, "plp": tail_plp}[flavor]
 
-        # ---- the interpreter: System.execute + read/write_data -------
+        # ---- the data write path: write_data, inlined ---------------
+        def write_line(line, data, cycle, persist):
+            """`write_data` with eager's override, for a persist or (with
+            ``persist`` off) a dirty LLC writeback, which stalls no CPU:
+            eager's window then closes at ``cycle + _window_extra``.
+            Returns (cpu_stall, fetch, overflow, scheme, flush, wpq)."""
+            if is_eager and ctl._pending_root:
+                apply_due(cycle)
+            ctl._op_cycle = cycle
+            if data is not None:
+                if len(data) != 64:
+                    data = (data + ZERO_LINE)[:64]
+                payload = bytes(data)
+            else:
+                payload = plaintexts.get(line)
+                if payload is None:
+                    payload = blake2b(line.to_bytes(8, "little"),
+                                      digest_size=32).digest() * 2
+            leaf_index = line >> 12
+            maddr = cap + (leaf_index << 6)
+            leaf, fetch_latency, cl = fetch_leaf(leaf_index, maddr, False)
+            if leaf.__class__ is not CounterBlock:
+                expect_node(leaf, CounterBlock, name + ": data write")
+            slot = (line >> 6) & 63
+            minors = leaf.minors
+            minor = minors[slot] + 1
+            if minor < MINOR_LIMIT:
+                leaf.hmac_stale = True
+                minors[slot] = minor
+                mark_dirty(leaf, cl)
+                delta = 1
+                overflow_cycles = 0
+                major = leaf.major
+            else:
+                # Overflow: rare, stateful, kept real.  The bump
+                # replaces the minors list, so re-read from the leaf.
+                delta, overflow_cycles = bump_leaf(leaf, line, cycle)
+                major = leaf.major
+                minor = leaf.minors[slot]
+            # cme.encrypt
+            encrypts.value += 1
+            okey = (line, major, minor)
+            pad = pads.get(okey)
+            if pad is None:
+                pad = make_otp(cme_key, line, major, minor)
+                if len(pads) >= pad_limit:
+                    pads.clear()
+                pads[okey] = pad
+            ciphertext = (int.from_bytes(payload, "little")
+                          ^ int.from_bytes(pad, "little")) \
+                .to_bytes(64, "little")
+            # data MAC (mac.mac memo path)
+            mkey = (line, ciphertext, major, minor)
+            mval = mac_memo.get(mkey)
+            if mval is None:
+                mval = mac_uncached(line, ciphertext, major, minor)
+                if len(mac_memo) >= mac_limit:
+                    mac_memo.clear()
+                mac_memo[mkey] = mval
+            data_macs[line] = mval
+            plaintexts[line] = payload
+            scheme_cycles = tail(leaf, leaf_index, delta, cycle, maddr)
+            wpq_stall = wpq_enqueue(line, cycle, False)
+            nvm_writes.value += 1
+            row = line >> 12
+            bank = row % banks
+            if open_rows.get(bank) == row:
+                row_hits.value += 1
+            else:
+                row_misses.value += 1
+            open_rows[bank] = row
+            nvm_lines[line] = ciphertext
+            data_writes.value += 1
+            flush_cycles = ctl._flush_charge
+            if flush_cycles:
+                ctl._flush_charge = 0
+            critical = (fetch_latency + overflow_cycles
+                        + scheme_cycles + flush_cycles)
+            latency = critical + wpq_stall + write_service
+            hadd(write_hist, latency)
+            hadd(verify_hist, fetch_latency)
+            cpu_stall = (critical + wpq_stall) if persist else 0
+            if is_eager:
+                extra = ctl._window_extra
+                for entry in ctl._pending_root:
+                    if entry[0] is None:
+                        entry[0] = cycle + cpu_stall + extra
+            return (cpu_stall, fetch_latency, overflow_cycles,
+                    scheme_cycles, flush_cycles, wpq_stall)
+
+        # ---- the interpreter: System.execute + read_data ------------
         def execute(access):
             retired = access.gap + 1
             cycle = system.cycle + retired
@@ -1235,89 +1325,9 @@ class EpochEngine:
                 writebacks = cpu_persist(line)
                 if line < 0:
                     cb_of_data(line)  # raises like the scalar path
-                if is_eager and ctl._pending_root:
-                    apply_due(cycle)
-                ctl._op_cycle = cycle
-                data = access.data
-                if data is not None:
-                    if len(data) != 64:
-                        data = (data + ZERO_LINE)[:64]
-                    payload = bytes(data)
-                else:
-                    payload = plaintexts.get(line)
-                    if payload is None:
-                        payload = blake2b(line.to_bytes(8, "little"),
-                                          digest_size=32).digest() * 2
-                leaf_index = line >> 12
-                maddr = cap + (leaf_index << 6)
-                leaf, fetch_latency, cl = fetch_leaf(leaf_index, maddr,
-                                                     False)
-                if leaf.__class__ is not CounterBlock:
-                    expect_node(leaf, CounterBlock, name + ": data write")
-                slot = (line >> 6) & 63
-                minors = leaf.minors
-                minor = minors[slot] + 1
-                if minor < MINOR_LIMIT:
-                    leaf.hmac_stale = True
-                    minors[slot] = minor
-                    mark_dirty(leaf, cl)
-                    delta = 1
-                    overflow_cycles = 0
-                    major = leaf.major
-                else:
-                    # Overflow: rare, stateful, kept real.  The bump
-                    # replaces the minors list, so re-read from the leaf.
-                    delta, overflow_cycles = bump_leaf(leaf, line, cycle)
-                    major = leaf.major
-                    minor = leaf.minors[slot]
-                # cme.encrypt
-                encrypts.value += 1
-                okey = (line, major, minor)
-                pad = pads.get(okey)
-                if pad is None:
-                    pad = make_otp(cme_key, line, major, minor)
-                    if len(pads) >= pad_limit:
-                        pads.clear()
-                    pads[okey] = pad
-                ciphertext = (int.from_bytes(payload, "little")
-                              ^ int.from_bytes(pad, "little")) \
-                    .to_bytes(64, "little")
-                # data MAC (mac.mac memo path)
-                mkey = (line, ciphertext, major, minor)
-                mval = mac_memo.get(mkey)
-                if mval is None:
-                    mval = mac_uncached(line, ciphertext, major, minor)
-                    if len(mac_memo) >= mac_limit:
-                        mac_memo.clear()
-                    mac_memo[mkey] = mval
-                data_macs[line] = mval
-                plaintexts[line] = payload
-                scheme_cycles = tail(leaf, leaf_index, delta, cycle, maddr)
-                wpq_stall = wpq_enqueue(line, cycle, False)
-                nvm_writes.value += 1
-                row = line >> 12
-                bank = row % banks
-                if open_rows.get(bank) == row:
-                    row_hits.value += 1
-                else:
-                    row_misses.value += 1
-                open_rows[bank] = row
-                nvm_lines[line] = ciphertext
-                data_writes.value += 1
-                flush_cycles = ctl._flush_charge
-                if flush_cycles:
-                    ctl._flush_charge = 0
-                critical = (fetch_latency + overflow_cycles
-                            + scheme_cycles + flush_cycles)
-                latency = critical + wpq_stall + write_service
-                hadd(write_hist, latency)
-                hadd(verify_hist, fetch_latency)
-                cpu_stall = critical + wpq_stall
-                if is_eager:
-                    extra = ctl._window_extra
-                    for entry in ctl._pending_root:
-                        if entry[0] is None:
-                            entry[0] = cycle + cpu_stall + extra
+                (cpu_stall, fetch_latency, overflow_cycles, scheme_cycles,
+                 flush_cycles, wpq_stall) = write_line(line, access.data,
+                                                       cycle, True)
                 cycle += cpu_stall
                 system.cycle = cycle
                 persist_stalls.value += cpu_stall
@@ -1328,7 +1338,7 @@ class EpochEngine:
                 attr["write_wpq"] += wpq_stall
             for writeback in writebacks:
                 if writeback < cap:
-                    write_data(writeback, None, cycle, persist=False)
+                    write_line(writeback, None, cycle, False)
             # ctl.tick: eager lands due root updates, then the WPQ drains.
             if is_eager and ctl._pending_root:
                 apply_due(cycle)

@@ -17,6 +17,10 @@ value, the exported result changes and this test fails.
   scalar loop and again under the epoch engine;
   :class:`~repro.sim.epoch.EpochEngine` raises on an ineligible run, so
   a silent fallback cannot pass as epoch coverage.
+* ``SPEC_GOLDEN`` pins the write path the persistent recipes never
+  reach: lbm at quick scale stores half the time, so each scheme's cell
+  sends 934 dirty LLC writebacks through the controller (no persists).
+  Like the scheme digests, each is checked under both engines.
 * ``RECOVERY_GOLDEN`` pins crash recovery: a 16 MiB system power-failed
   right after a persist (or tampered with, for the Table I trials) and
   recovered.  Each digest covers the :class:`RecoveryReport` and a
@@ -78,6 +82,23 @@ SCHEME_GOLDEN = {
         "ba52fa669acef2871d264cd582005f40a2f4b39e08f5a6fcf38eb6043f8ef436",
 }
 
+#: ``spec:<name>``: the lbm trace (quick scale, seed 42) on each scheme,
+#: no sanitizer, ``System.result("spec")``.
+SPEC_GOLDEN = {
+    "baseline":
+        "26141009f85ac8803a17303f4b135184a0219bfbdb091e299570e0bf1624f3f7",
+    "bmf-ideal":
+        "dad05d9ed1201d3237c85776692305f148a05ed97841d1cabbde5803b6790167",
+    "eager":
+        "a20963222af9b0b66e6b6eb02fdd15c924ce51a7c9eb3f213840911a77dcba82",
+    "lazy":
+        "c5b963ada2e364dac23e482dbf372c35c0cd4c506a71d871a8e2568fb0dc6990",
+    "plp":
+        "84bbffebabd3861b8aaeb46dfc9409943340a95f4016e7ebbbe798b0dd7a1069",
+    "scue":
+        "285a712c95e768824a2bd80af2413e3bbefd566ac9263196c61b9a0a436a1569",
+}
+
 #: ``fig10_quick``: Figure 10 at quick scale over array and queue, the
 #: ratio table plus every per-cell result.
 FIG10_QUICK_GOLDEN = \
@@ -131,9 +152,9 @@ RECOVERY_TRIALS = {
 }
 
 
-def array_trace(scale: BenchScale):
-    return make_workload("array", scale.data_capacity, scale.operations,
-                         seed=42).trace()
+def bench_trace(scale: BenchScale, workload: str = "array"):
+    return make_workload(workload, scale.data_capacity,
+                         scale.operations_for(workload), seed=42).trace()
 
 
 def fig10_quick_digest(scheme: str) -> str:
@@ -142,18 +163,19 @@ def fig10_quick_digest(scheme: str) -> str:
     # The sanitizer hooks the controller's persist seams; running with it
     # attached also proves the optimizations kept those seams patchable.
     attach_sanitizer(system.controller)
-    system.run(array_trace(scale))
+    system.run(bench_trace(scale))
     return result_digest(system.result("array"))
 
 
-def scheme_digest(scheme: str, engine: str) -> str:
+def scheme_digest(scheme: str, engine: str, workload: str = "array",
+                  label: str = "perf") -> str:
     scale = BenchScale.quick()
     system = System(scale.config(scheme), engine="scalar")
     if engine == "epoch":
-        epoch.EpochEngine(system).run(array_trace(scale))
+        epoch.EpochEngine(system).run(bench_trace(scale, workload))
     else:
-        system.run(array_trace(scale))
-    return result_digest(system.result("perf"))
+        system.run(bench_trace(scale, workload))
+    return result_digest(system.result(label))
 
 
 def fig10_figure_digest() -> str:
@@ -239,6 +261,10 @@ CASES = (
     + [pytest.param(scheme_digest, (scheme, engine), SCHEME_GOLDEN[scheme],
                     id=f"scheme:{scheme}-{engine}")
        for scheme in sorted(SCHEME_GOLDEN)
+       for engine in ("scalar", "epoch")]
+    + [pytest.param(scheme_digest, (scheme, engine, "lbm", "spec"),
+                    SPEC_GOLDEN[scheme], id=f"spec:{scheme}-{engine}")
+       for scheme in sorted(SPEC_GOLDEN)
        for engine in ("scalar", "epoch")]
     + [pytest.param(fig10_figure_digest, (), FIG10_QUICK_GOLDEN,
                     id="fig10_quick"),

@@ -13,6 +13,12 @@ halves of that promise:
 * a minor-counter overflow (>= 64 persists to one line) re-encrypts the
   block through the *real* ``_bump_leaf`` seam and still digests
   identically;
+* dirty LLC writebacks run through the interpreter's inlined write path,
+  not the controller's ``write_data``: on a store-heavy trace the
+  scalar loop sends ``persist=False`` writes while the epoch engine
+  calls ``write_data`` not at all, the two digest identically, and
+  eager's in-flight root updates end on the same completion cycles (a
+  writeback opens its window with no CPU stall);
 * the persist-order sanitizer's seam patches make the run ineligible:
   ``engine="auto"`` silently takes the scalar loop and the sanitizer
   observes the exact same persist-event stream as an explicit scalar
@@ -38,6 +44,7 @@ from repro.cme.counters import MINOR_LIMIT
 from repro.errors import ConfigError
 from repro.mem.trace import AccessType, MemoryAccess
 from repro.perf.harness import result_digest
+from repro.secure.base import SecureMemoryController
 from repro.sim import epoch
 from repro.sim.system import System
 
@@ -78,6 +85,14 @@ def hot_line_trace(persists: int) -> list[MemoryAccess]:
     return trace
 
 
+def store_heavy_trace(n: int, seed: int) -> list[MemoryAccess]:
+    """Mostly stores: the small LLC spills dirty lines, so the write path
+    sees writebacks besides the persists."""
+    return random_trace(n, seed=seed,
+                        kinds=(AccessType.WRITE,) * 3
+                        + (AccessType.READ, AccessType.PERSIST))
+
+
 class TestEngineEquivalence:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("seed", (3, 11, 29))
@@ -106,6 +121,31 @@ class TestEngineEquivalence:
         batched = run_trace(scheme, trace, "epoch")
         assert result_digest(scalar.result("overflow")) \
             == result_digest(batched.result("overflow"))
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_writebacks_skip_the_scalar_write_path(self, scheme,
+                                                   monkeypatch):
+        # Eager's override reaches the base method through super(), so
+        # a class-level spy there sees every scheme's writes.
+        persist_flags = []
+        write_data = SecureMemoryController.write_data
+
+        def counting(ctl, addr, data, cycle, persist=True):
+            persist_flags.append(persist)
+            return write_data(ctl, addr, data, cycle, persist)
+
+        monkeypatch.setattr(SecureMemoryController, "write_data", counting)
+        trace = store_heavy_trace(600, seed=5)
+        scalar = run_trace(scheme, trace, "scalar")
+        assert False in persist_flags
+        persist_flags.clear()
+        batched = run_trace(scheme, trace, "epoch")
+        assert persist_flags == []
+        assert result_digest(scalar.result("writeback")) \
+            == result_digest(batched.result("writeback"))
+        if scheme == "eager":
+            assert scalar.controller._pending_root \
+                == batched.controller._pending_root
 
 
 class TestSanitizerFallback:
