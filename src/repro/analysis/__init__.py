@@ -12,8 +12,7 @@ persist domain it models, instead of relying on eyeballs:
   (:mod:`repro.analysis.dataflow`) and a project-wide call graph
   (:mod:`repro.analysis.callgraph`).  Flat single-module rules coexist
   with interprocedural ones (a caller's ``wpq.enqueue`` credits a
-  callee's store; a verify result dropped across a call boundary is
-  found), plus declarative persist-protocol conformance
+  callee's store), plus declarative persist-protocol conformance
   (:mod:`repro.analysis.protocol`) proving the runtime sanitizer's
   ordering rules on *all static paths*;
 * :mod:`repro.analysis.sanitizer` — a WITCHER-style runtime monitor

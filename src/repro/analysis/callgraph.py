@@ -20,8 +20,7 @@ create phantom call edges), while *summaries of callees* may consult
 ambiguous buckets as long as the answer is the conservative one for the
 analysis at hand.
 
-The index also memoises per-function CFGs and a few shared summaries
-(``may_raise``) used by more than one rule.
+The index also memoises per-function CFGs.
 """
 
 from __future__ import annotations
@@ -134,7 +133,6 @@ class ProjectIndex:
         self.module_imports: dict[str, dict[str, str]] = {}
         self._cfgs: dict[str, CFG] = {}
         self._local_envs: dict[str, dict[str, str]] = {}
-        self._may_raise: dict[str, bool] = {}
         self._callers: dict[str, list[tuple[FunctionInfo, ast.Call]]] | \
             None = None
         for relpath, tree in modules:
@@ -404,40 +402,3 @@ class ProjectIndex:
                             self._callers.setdefault(
                                 target.qualname, []).append((caller, node))
         return self._callers.get(fn.qualname, [])
-
-    # -- shared summaries ----------------------------------------------
-    def may_raise(self, fn: FunctionInfo, _depth: int = 0,
-                  _stack: frozenset[str] = frozenset()) -> bool:
-        """Can a call to ``fn`` raise?  True when its body contains a
-        ``raise`` outside any try, or (transitively, exact edges only,
-        depth-limited) calls something that may.  Conservatively False
-        on unresolved calls — RPL008 uses this as a *may* filter to cut
-        noise, not as a soundness guarantee."""
-        cached = self._may_raise.get(fn.qualname)
-        if cached is not None:
-            return cached
-        if fn.qualname in _stack or _depth > 3:
-            return False
-        protected: set[int] = set()
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Try) and node.handlers:
-                for sub in ast.walk(node):
-                    protected.add(id(sub))
-                protected.discard(id(node))
-        result = False
-        for node in ast.walk(fn.node):
-            if id(node) in protected:
-                continue
-            if isinstance(node, ast.Raise):
-                result = True
-                break
-            if isinstance(node, ast.Call):
-                res = self.resolve_call(node, fn)
-                if res.exact and any(
-                        self.may_raise(t, _depth + 1,
-                                       _stack | {fn.qualname})
-                        for t in res.targets):
-                    result = True
-                    break
-        self._may_raise[fn.qualname] = result
-        return result

@@ -38,8 +38,7 @@ them):
   the ``try`` (the handler therefore sees the facts held at try entry,
   never facts established inside the body);
 * ``assert`` and arbitrary raising expressions do not get their own
-  exceptional edges — rules that care about exception escape (RPL008)
-  query try-nesting on the AST instead.
+  exceptional edges.
 
 Every function exit is one of two distinguished blocks: ``exit`` (normal
 return) and ``raise_exit`` (an explicit uncaught ``raise``).
@@ -167,21 +166,6 @@ class CFG:
         return sorted((self.label(src, source_lines),
                        self.label(dst, source_lines), kind)
                       for src, dst, kind in self.edges())
-
-    def can_reach(self, src: Block, want) -> bool:
-        """True when some path from ``src`` reaches a block for which
-        ``want(block)`` holds (``src`` itself included)."""
-        seen: set[int] = set()
-        stack = [src]
-        while stack:
-            block = stack.pop()
-            if block.bid in seen:
-                continue
-            seen.add(block.bid)
-            if want(block):
-                return True
-            stack.extend(succ for succ, _ in block.succs)
-        return False
 
 
 class _FinallyCtx:

@@ -1,20 +1,12 @@
 """Worklist dataflow engine over :mod:`repro.analysis.cfg` graphs.
 
-The engine runs a *forward* analysis propagating sets of opaque string
-facts (e.g. ``"enqueued"``, ``"recovery-root-updated"``) through a CFG.
-Two join disciplines are supported:
-
-``must`` (the default)
-    A fact holds at a point only when it holds on *every* path reaching
-    it — joins intersect.  Unreached blocks carry the TOP element
-    (``None``), which is the identity for intersection, so facts are
-    never weakened by dead paths.  Use this to prove obligations
-    ("on all paths, the enqueue precedes the store").
-
-``may``
-    A fact holds when it holds on *some* path — joins union, and the
-    initial value is the empty set.  Use this to find possibilities
-    ("some path reaches exit with the verify result still unconsumed").
+The engine runs a *forward must* analysis propagating sets of opaque
+string facts (e.g. ``"enqueued"``, ``"recovery-root-updated"``) through
+a CFG: a fact holds at a point only when it holds on *every* path
+reaching it — joins intersect.  Unreached blocks carry the TOP element
+(``None``), which is the identity for intersection, so facts are never
+weakened by dead paths.  Rules use it to prove obligations ("on all
+paths, the enqueue precedes the store").
 
 The transfer function is a plain callable ``flow(facts, node) -> facts``
 applied to each leaf statement in block order; :meth:`ForwardAnalysis.
@@ -33,43 +25,35 @@ from repro.analysis.cfg import CFG, Block
 Facts = frozenset[str]
 FlowFn = Callable[[Facts, ast.AST], Facts]
 
-#: TOP for must-analyses: "unreached, so vacuously every fact holds".
+#: TOP: "unreached, so vacuously every fact holds".
 TOP = None
 
 
 class ForwardAnalysis:
-    """Run a forward must/may analysis to fixpoint on construction."""
+    """Run a forward must analysis to fixpoint on construction."""
 
-    def __init__(self, cfg: CFG, flow: FlowFn, *, must: bool = True,
+    def __init__(self, cfg: CFG, flow: FlowFn, *,
                  entry_facts: Facts = frozenset()) -> None:
         self.cfg = cfg
         self.flow = flow
-        self.must = must
         self.entry_facts = frozenset(entry_facts)
         self._in: dict[int, Facts | None] = {}
         self._out: dict[int, Facts | None] = {}
-        self._blocks = {block.bid: block for block in cfg.blocks}
         self._run()
 
     # ------------------------------------------------------------------
     def _initial(self, block: Block) -> Facts | None:
         if block is self.cfg.entry:
             return self.entry_facts
-        return TOP if self.must else frozenset()
+        return TOP
 
     def _join(self, values: list[Facts | None]) -> Facts | None:
-        if self.must:
-            real = [v for v in values if v is not None]
-            if not real:
-                return TOP
-            out = real[0]
-            for other in real[1:]:
-                out = out & other
-            return out
-        out: Facts = frozenset()
-        for value in values:
-            if value:
-                out = out | value
+        real = [v for v in values if v is not None]
+        if not real:
+            return TOP
+        out = real[0]
+        for other in real[1:]:
+            out = out & other
         return out
 
     def _transfer(self, block: Block, facts: Facts | None) -> Facts | None:
@@ -105,12 +89,6 @@ class ForwardAnalysis:
                         queued.add(succ.bid)
 
     # ------------------------------------------------------------------
-    def facts_in(self, block: Block) -> Facts | None:
-        return self._in[block.bid]
-
-    def facts_out(self, block: Block) -> Facts | None:
-        return self._out[block.bid]
-
     def facts_before(self, node: ast.AST) -> Facts | None:
         """State immediately before ``node`` (a leaf statement stored in
         some block), or None when the node is unreachable / unlocated."""
@@ -127,9 +105,6 @@ class ForwardAnalysis:
 
     def facts_at_exit(self) -> Facts | None:
         return self._in[self.cfg.exit.bid]
-
-    def facts_at_raise(self) -> Facts | None:
-        return self._in[self.cfg.raise_exit.bid]
 
 
 def gen_kill_flow(gen: Callable[[ast.AST], Facts],

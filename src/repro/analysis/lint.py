@@ -2,16 +2,15 @@
 
 Two kinds of checks coexist:
 
-* **flat rules** (:class:`LintRule`) — single-module AST scans, exactly
-  as in the original lint: RPL003–RPL006 plus the direct-discard half
-  of RPL002;
+* **flat rules** (:class:`LintRule`) — single-module AST scans:
+  RPL004, RPL005 and RPL009–RPL011;
 * **project rules** (:class:`ProjectRule`) — path-sensitive checks that
   run once over the whole scanned tree with a
   :class:`~repro.analysis.callgraph.ProjectIndex` in hand: the
-  interprocedural RPL001/RPL002 upgrades and the protocol checkers
-  RPL007/RPL008 built on the CFG + dataflow engine
-  (:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` /
-  :mod:`repro.analysis.protocol`).
+  interprocedural RPL001 and the protocol checker RPL007 built on the
+  CFG + dataflow engine (:mod:`repro.analysis.cfg` /
+  :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.protocol`),
+  plus the async and file-write rules RPL012–RPL014.
 
 Both kinds produce the same :class:`~repro.analysis.rules.Violation`
 records, honour the same ``# reprolint: disable=<rule>`` suppression
@@ -43,10 +42,7 @@ from repro.analysis.cache import (
 from repro.analysis.callgraph import FunctionInfo, ProjectIndex
 from repro.analysis.dataflow import Facts, ForwardAnalysis
 from repro.analysis.explorer.seams import EXPLORED_ROOT_REGISTERS
-from repro.analysis.protocol import (
-    check_attribution_escape,
-    check_protocols,
-)
+from repro.analysis.protocol import check_protocols
 from repro.analysis.rules import ALL_RULES, RuleInfo, Violation, get_rule
 
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([\w\-, ]+)")
@@ -86,15 +82,6 @@ class ParsedModule:
     def suppressed(self, lineno: int, rule_name: str) -> bool:
         names = self.suppressions.get(lineno, ())
         return rule_name in names or "all" in names
-
-
-def _attr_name(node: ast.expr) -> str:
-    """Name of an assignment target: ``x`` or ``obj.x`` -> ``x``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
 
 
 def _dotted(node: ast.expr) -> str:
@@ -264,7 +251,7 @@ class NvmDirectStoreRule(ProjectRule):
                 if self._gens_enq(node, fn):
                     return facts | {self._ENQ}
                 return facts
-            got = ForwardAnalysis(self._index.cfg(fn), flow, must=True)
+            got = ForwardAnalysis(self._index.cfg(fn), flow)
             self._analyses[fn.qualname] = got
         return got
 
@@ -420,223 +407,6 @@ def _site_falsifies(call: ast.Call, guards: list[tuple[str, bool]],
 
 
 # ======================================================================
-# RPL002 — no dropped verification results
-# ======================================================================
-class UncheckedVerifyRule(LintRule):
-    """Flat half: a ``verify``/``matches`` call whose boolean result is
-    discarded right where it is made."""
-
-    name = "unchecked-verify"
-    paths = ("secure/", "tree/", "crash/", "cme/")
-
-    _VERIFY_CALLS = ("verify", "matches")
-
-    def check(self, mod: ParsedModule) -> Iterator[Violation]:
-        for node in ast.walk(mod.tree):
-            if not isinstance(node, ast.Expr):
-                continue
-            value = node.value
-            if isinstance(value, ast.Call) and \
-                    isinstance(value.func, ast.Attribute) and \
-                    value.func.attr in self._VERIFY_CALLS:
-                yield self.violation(
-                    mod, node,
-                    f"result of '{_dotted(value.func)}(...)' is "
-                    "discarded — a verification that cannot fail is a "
-                    "silent security hole")
-
-
-class UncheckedVerifyProjectRule(ProjectRule):
-    """Interprocedural half of RPL002: (a) discarding the result of a
-    call whose callee *returns* a verification result is as much a
-    dropped check as discarding ``verify()`` itself; (b) a verify
-    result assigned to a local that is never consulted on some path to
-    return is a check that silently cannot fail on that path."""
-
-    name = "unchecked-verify"
-    paths = ("secure/", "tree/", "crash/", "cme/")
-
-    _VERIFY_CALLS = ("verify", "matches")
-
-    def check_project(self, modules: list[ParsedModule],
-                      index: ProjectIndex) -> Iterator[Violation]:
-        mods = self.by_relpath(modules)
-        self._index = index
-        self._returns_verify_memo: dict[str, bool] = {}
-        for fn in index.functions.values():
-            if fn.relpath not in mods or not self.applies(fn.relpath):
-                continue
-            cfg = index.cfg(fn)
-            yield from self._discarded_callee_results(fn, cfg, mods)
-            yield from self._unconsumed_results(fn, cfg, mods)
-
-    # -- (a) Expr-discard of a verify-returning callee -------------------
-    def _discarded_callee_results(self, fn: FunctionInfo, cfg,
-                                  mods) -> Iterator[Violation]:
-        for _, _, stmt in cfg.nodes():
-            if not (isinstance(stmt, ast.Expr)
-                    and isinstance(stmt.value, ast.Call)):
-                continue
-            call = stmt.value
-            if isinstance(call.func, ast.Attribute) and \
-                    call.func.attr in self._VERIFY_CALLS:
-                continue  # the flat rule reports direct discards
-            res = self._index.resolve_call(call, fn)
-            if res.exact and len(res.targets) == 1 and \
-                    self._returns_verify(res.targets[0]):
-                yield self.violation_at(
-                    mods, fn.relpath, stmt.lineno, stmt.col_offset + 1,
-                    f"result of '{_dotted(call.func)}(...)' is "
-                    f"discarded — '{res.targets[0].name}' returns a "
-                    "verification result, so dropping it silences the "
-                    "check across the call boundary")
-
-    def _returns_verify(self, fn: FunctionInfo, _depth: int = 0) -> bool:
-        cached = self._returns_verify_memo.get(fn.qualname)
-        if cached is not None:
-            return cached
-        if _depth > 3:
-            return False
-        self._returns_verify_memo[fn.qualname] = False  # cycle guard
-        assigned: set[str] = set()
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Assign) and \
-                    len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name) and \
-                    self._is_verify_call(node.value):
-                assigned.add(node.targets[0].id)
-        result = False
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Return) or node.value is None:
-                continue
-            value = node.value
-            if self._is_verify_call(value):
-                result = True
-                break
-            if isinstance(value, ast.Name) and value.id in assigned:
-                result = True
-                break
-            if isinstance(value, ast.Call):
-                res = self._index.resolve_call(value, fn)
-                if res.exact and len(res.targets) == 1 and \
-                        self._returns_verify(res.targets[0], _depth + 1):
-                    result = True
-                    break
-        self._returns_verify_memo[fn.qualname] = result
-        return result
-
-    def _is_verify_call(self, value: ast.expr) -> bool:
-        return (isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Attribute)
-                and value.func.attr in self._VERIFY_CALLS)
-
-    # -- (b) assigned-but-never-consulted results ------------------------
-    def _unconsumed_results(self, fn: FunctionInfo, cfg,
-                            mods) -> Iterator[Violation]:
-        index = self._index
-
-        def fact_for(name: str, node: ast.AST) -> str:
-            return f"unconsumed|{name}|{node.lineno}|{node.col_offset}"
-
-        def flow(facts: Facts, node: ast.AST) -> Facts:
-            reads = {sub.id for sub in ast.walk(node)
-                     if isinstance(sub, ast.Name)
-                     and isinstance(sub.ctx, ast.Load)}
-            if reads:
-                facts = frozenset(f for f in facts
-                                  if f.split("|")[1] not in reads)
-            if isinstance(node, ast.Assign) and \
-                    len(node.targets) == 1 and \
-                    isinstance(node.targets[0], ast.Name):
-                name = node.targets[0].id
-                facts = frozenset(f for f in facts
-                                  if f.split("|")[1] != name)
-                if name != "_" and self._value_is_verify(node.value, fn):
-                    facts = facts | {fact_for(name, node)}
-            return facts
-
-        analysis = ForwardAnalysis(cfg, flow, must=False)
-        exit_facts = analysis.facts_at_exit() or frozenset()
-        for fact in sorted(exit_facts):
-            _, name, lineno, col = fact.split("|")
-            yield self.violation_at(
-                mods, fn.relpath, int(lineno), int(col) + 1,
-                f"verification result '{name}' is assigned but never "
-                "consulted on some path to return — on that path the "
-                "check cannot fail")
-
-    def _value_is_verify(self, value: ast.expr,
-                         fn: FunctionInfo) -> bool:
-        if self._is_verify_call(value):
-            return True
-        if isinstance(value, ast.Call):
-            res = self._index.resolve_call(value, fn)
-            return (res.exact and len(res.targets) == 1
-                    and self._returns_verify(res.targets[0]))
-        return False
-
-
-# ======================================================================
-# RPL003 — integer-only cycle arithmetic
-# ======================================================================
-class FloatCycleArithRule(LintRule):
-    """Assignments to ``*cycle*`` names (and returns from ``*cycle*``
-    functions) must not contain true division or float literals unless
-    explicitly converted with ``int(...)`` at the top level."""
-
-    name = "float-cycle-arith"
-    paths = ("mem/timing.py", "mem/wpq.py", "mem/nvm.py", "sim/")
-
-    @staticmethod
-    def _has_float_math(node: ast.expr) -> bool:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div):
-                return True
-            if isinstance(sub, ast.Constant) and \
-                    isinstance(sub.value, float):
-                return True
-        return False
-
-    @staticmethod
-    def _int_converted(node: ast.expr) -> bool:
-        return (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "int")
-
-    def _flag(self, value: ast.expr | None) -> bool:
-        return (value is not None
-                and not self._int_converted(value)
-                and self._has_float_math(value))
-
-    def check(self, mod: ParsedModule) -> Iterator[Violation]:
-        for node in ast.walk(mod.tree):
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets, value = [node.target], node.value
-            if value is not None:
-                for target in targets:
-                    name = _attr_name(target)
-                    if "cycle" in name.lower() and self._flag(value):
-                        yield self.violation(
-                            mod, node,
-                            f"float arithmetic assigned to cycle "
-                            f"counter '{name}' — cycle counts are "
-                            "exact integers (use // or wrap in int())")
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and "cycle" in node.name.lower():
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Return) and \
-                            self._flag(sub.value):
-                        yield self.violation(
-                            mod, sub,
-                            f"'{node.name}' returns float arithmetic — "
-                            "cycle quantities are exact integers")
-
-
-# ======================================================================
 # RPL004 — no assert-based runtime validation
 # ======================================================================
 class BareAssertRule(LintRule):
@@ -686,60 +456,6 @@ class StatCounterDisciplineRule(LintRule):
 
 
 # ======================================================================
-# RPL006 — cycle charges must be observable
-# ======================================================================
-class ObsUnattributedCyclesRule(LintRule):
-    """A scheme method that advances cycle time (``self....charge``,
-    ``self....enqueue``, ``self._persist_node``) must also emit a trace
-    event through ``self.obs`` so the attribution report can explain
-    where those cycles went.
-
-    Scoped to the scheme subclasses: the shared base controller emits
-    the per-op breakdown events (``write_op``/``read_op``) itself, so it
-    — and non-controller helpers — are exempt.
-    """
-
-    name = "obs-unattributed-cycles"
-    paths = ("secure/",)
-    exclude = ("secure/base.py", "secure/__init__.py", "secure/roots.py")
-
-    _CYCLE_CALLS = ("charge", "enqueue", "_persist_node")
-
-    @staticmethod
-    def _rooted_at_self(node: ast.expr) -> bool:
-        while isinstance(node, ast.Attribute):
-            node = node.value
-        return isinstance(node, ast.Name) and node.id == "self"
-
-    def check(self, mod: ParsedModule) -> Iterator[Violation]:
-        for cls in ast.walk(mod.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for func in cls.body:
-                if not isinstance(func, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                    continue
-                charges: list[ast.Call] = []
-                emits = False
-                for node in ast.walk(func):
-                    if isinstance(node, ast.Attribute) and \
-                            node.attr == "obs":
-                        emits = True
-                    if isinstance(node, ast.Call) and \
-                            isinstance(node.func, ast.Attribute) and \
-                            node.func.attr in self._CYCLE_CALLS and \
-                            self._rooted_at_self(node.func):
-                        charges.append(node)
-                if charges and not emits:
-                    yield self.violation(
-                        mod, charges[0],
-                        f"'{cls.name}.{func.name}' charges cycles via "
-                        f"'{_dotted(charges[0].func)}(...)' but never "
-                        "touches self.obs — the cycles are invisible "
-                        "to the trace/attribution report")
-
-
-# ======================================================================
 # RPL007 — persist-protocol conformance
 # ======================================================================
 class PersistProtocolRule(ProjectRule):
@@ -756,24 +472,6 @@ class PersistProtocolRule(ProjectRule):
         for finding in check_protocols(index):
             if not self.applies(finding.relpath):
                 continue
-            yield self.violation_at(mods, finding.relpath, finding.line,
-                                    finding.column, finding.message)
-
-
-# ======================================================================
-# RPL008 — exception-unsafe cycle attribution
-# ======================================================================
-class ExceptionUnsafeAttributionRule(ProjectRule):
-    """A raising statement between an AttributionLedger charge and the
-    obs emit it funds (engine in :mod:`repro.analysis.protocol`)."""
-
-    name = "exception-unsafe-attribution"
-    paths = ("sim/",)
-
-    def check_project(self, modules: list[ParsedModule],
-                      index: ProjectIndex) -> Iterator[Violation]:
-        mods = self.by_relpath(modules)
-        for finding in check_attribution_escape(index, self.paths):
             yield self.violation_at(mods, finding.relpath, finding.line,
                                     finding.column, finding.message)
 
@@ -1186,11 +884,8 @@ class TornFileWriteRule(ProjectRule):
 
 
 _FLAT_RULE_CLASSES: tuple[type[LintRule], ...] = (
-    UncheckedVerifyRule,
-    FloatCycleArithRule,
     BareAssertRule,
     StatCounterDisciplineRule,
-    ObsUnattributedCyclesRule,
     HotPathAllocationRule,
     UnexploredPersistBoundaryRule,
     NondeterministicReportRule,
@@ -1198,16 +893,13 @@ _FLAT_RULE_CLASSES: tuple[type[LintRule], ...] = (
 
 _PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
     NvmDirectStoreRule,
-    UncheckedVerifyProjectRule,
     PersistProtocolRule,
-    ExceptionUnsafeAttributionRule,
     AwaitAtomicityRule,
     TornFileWriteRule,
     BlockingCallInAsyncRule,
 )
 
-# Every registered RuleInfo must have an implementation and vice versa
-# (RPL002 deliberately has both a flat and a project half).
+# Every registered RuleInfo must have an implementation and vice versa.
 _IMPLEMENTED = {cls.name for cls in _FLAT_RULE_CLASSES} | \
     {cls.name for cls in _PROJECT_RULE_CLASSES}
 if _IMPLEMENTED != {r.name for r in ALL_RULES}:

@@ -1,15 +1,14 @@
-"""Declarative persist-protocol conformance checking (RPL007/RPL008).
+"""Declarative persist-protocol conformance checking (RPL007).
 
-This module is the *engine* behind two project-wide rules registered in
+This module is the *engine* behind the project-wide rule registered in
 :mod:`repro.analysis.lint`; it has no dependency on the lint framework
 itself (only on the CFG/dataflow/callgraph layers), so it can be unit
 tested — and reused — in isolation.
 
-**RPL007 — persist-protocol conformance.**  Each update scheme in
-``secure/`` declares (via :data:`PROTOCOLS`) the persist-ordering
-obligations its recovery argument depends on — the same rules the
-runtime sanitizer (:mod:`repro.analysis.sanitizer`) checks on *executed*
-paths, here proven on *all static paths*:
+Each update scheme in ``secure/`` declares (via :data:`PROTOCOLS`) the
+persist-ordering obligations its recovery argument depends on — the same
+rules the runtime sanitizer (:mod:`repro.analysis.sanitizer`) checks on
+*executed* paths, here proven on *all static paths*:
 
 * SCUE: the ``Recovery_root`` shortcut update precedes the leaf persist
   (§IV-A2 / :class:`~repro.analysis.sanitizer.ShortcutRootRule`);
@@ -24,16 +23,6 @@ edges into helpers — a parent persisted inside a helper called from the
 hook is found exactly where it happens.  Obligations are verified with a
 forward *must* analysis: an event ``second`` on any reachable static
 path where fact ``first`` does not yet hold is a violation.
-
-**RPL008 — exception-unsafe cycle attribution.**  In ``sim/``, a
-statement that may raise while sitting between an
-:class:`~repro.obs.attribution.AttributionLedger` charge and the
-corresponding obs emit leaves the ledger charged for work whose
-observability never materialises — ``check_attribution`` would trip only
-at runtime, and only if a result is ever built.  Found with a forward
-*may* analysis of an ``exposed`` fact (gen at a ledger charge, kill at
-any ``self.obs`` touch), filtered to statements that can still reach an
-obs emit and are not wrapped in a protective ``try``.
 """
 
 from __future__ import annotations
@@ -121,7 +110,7 @@ def spec_for(scheme_name: object) -> ProtocolSpec | None:
 
 
 # ======================================================================
-# Shared AST helpers
+# AST helpers
 # ======================================================================
 def _chain_names(expr: ast.expr) -> list[str]:
     """All identifiers along an attribute chain: ``self.a.b(...)`` ->
@@ -157,18 +146,6 @@ def _fetch_unpack_targets(fn: FunctionInfo) -> set[str]:
                 value.func.attr == "fetch_node":
             tainted.add(target.elts[0].id)
     return tainted
-
-
-def _enclosing_protected(fn: FunctionInfo) -> set[int]:
-    """ids of nodes protected by an enclosing try with handlers or a
-    finally (either can rebalance/observe before the exception escapes)."""
-    protected: set[int] = set()
-    for node in ast.walk(fn.node):
-        if isinstance(node, ast.Try) and (node.handlers or node.finalbody):
-            for stmt in node.body + node.orelse:
-                for sub in ast.walk(stmt):
-                    protected.add(id(sub))
-    return protected
 
 
 # ======================================================================
@@ -319,8 +296,7 @@ class ProtocolChecker:
                                                     depth + 1)
             return facts
 
-        return ForwardAnalysis(self.index.cfg(fn), flow, must=True,
-                               entry_facts=entry)
+        return ForwardAnalysis(self.index.cfg(fn), flow, entry_facts=entry)
 
     def _check_fn(self, fn: FunctionInfo, roles: dict[str, str],
                   entry: Facts, spec: ProtocolSpec, depth: int) -> None:
@@ -370,112 +346,3 @@ def check_protocols(index: ProjectIndex) -> list[Finding]:
     """RPL007 entry point: all scheme classes vs. their declared specs."""
     return ProtocolChecker(index).run()
 
-
-# ======================================================================
-# RPL008 checker
-# ======================================================================
-_EXPOSED = "exposed"
-
-
-def _is_ledger_alias_assign(stmt: ast.AST) -> str | None:
-    """``attr = self.attribution.cycles`` -> ``"attr"``."""
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and \
-            isinstance(stmt.targets[0], ast.Name) and \
-            isinstance(stmt.value, ast.Attribute) and \
-            "attribution" in _chain_names(stmt.value):
-        return stmt.targets[0].id
-    return None
-
-
-def _charges_ledger(stmt: ast.AST, aliases: set[str]) -> bool:
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.AugAssign) and \
-                isinstance(node.target, ast.Subscript):
-            base = node.target.value
-            chain = _chain_names(base)
-            if (isinstance(base, ast.Name) and base.id in aliases) or \
-                    "attribution" in chain:
-                return True
-        if isinstance(node, ast.Call) and \
-                isinstance(node.func, ast.Attribute) and \
-                node.func.attr == "charge":
-            chain = _chain_names(node.func)
-            if "attribution" in chain or aliases & set(chain):
-                return True
-    return False
-
-
-def _touches_obs(stmt: ast.AST) -> bool:
-    return any(isinstance(node, ast.Attribute) and node.attr == "obs"
-               for node in ast.walk(stmt))
-
-
-def check_attribution_escape(index: ProjectIndex,
-                             path_prefixes: tuple[str, ...] = ("sim/",)
-                             ) -> list[Finding]:
-    """RPL008 entry point: raising statements between a ledger charge
-    and the obs emit it funds."""
-    findings: list[Finding] = []
-    for fn in index.functions.values():
-        if not fn.relpath.startswith(path_prefixes):
-            continue
-        aliases = {alias for stmt in ast.walk(fn.node)
-                   if (alias := _is_ledger_alias_assign(stmt))}
-        has_charge = any(_charges_ledger(s, aliases)
-                         for s in ast.walk(fn.node))
-        has_emit = any(_touches_obs(s) for s in ast.walk(fn.node))
-        if not (has_charge and has_emit):
-            continue
-        cfg = index.cfg(fn)
-
-        def flow(facts: Facts, node: ast.AST) -> Facts:
-            if _touches_obs(node):
-                facts = facts - {_EXPOSED}
-            if _charges_ledger(node, aliases):
-                facts = facts | {_EXPOSED}
-            return facts
-
-        analysis = ForwardAnalysis(cfg, flow, must=False)
-        protected = _enclosing_protected(fn)
-
-        def emit_after(block, idx) -> bool:
-            if any(_touches_obs(later)
-                   for later in block.stmts[idx + 1:]):
-                return True
-            return any(
-                cfg.can_reach(succ, lambda b: any(_touches_obs(s)
-                                                  for s in b.stmts))
-                for succ, _ in block.succs)
-
-        for block, idx, node in cfg.nodes():
-            if id(node) in protected:
-                continue
-            risky = _first_raising_call(node, fn, index)
-            if risky is None:
-                continue
-            facts = analysis.facts_before(node)
-            if facts is None or _EXPOSED not in facts:
-                continue
-            if not emit_after(block, idx):
-                continue
-            findings.append(Finding(
-                relpath=fn.relpath, line=risky.lineno,
-                column=risky.col_offset + 1,
-                message=f"'{fn.name}' may raise here between an "
-                        "AttributionLedger charge and the obs emit it "
-                        "funds — the cycles are charged but never "
-                        "observed, so check_attribution trips only at "
-                        "runtime (emit or re-balance before raising)"))
-    findings.sort(key=lambda f: (f.relpath, f.line))
-    return findings
-
-
-def _first_raising_call(stmt: ast.AST, fn: FunctionInfo,
-                        index: ProjectIndex) -> ast.Call | None:
-    for node in ast.walk(stmt):
-        if not isinstance(node, ast.Call):
-            continue
-        res = index.resolve_call(node, fn)
-        if res and any(index.may_raise(t) for t in res.targets):
-            return node
-    return None

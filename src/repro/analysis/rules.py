@@ -42,24 +42,6 @@ ALL_RULES: tuple[RuleInfo, ...] = (
                   "matching the runtime sanitizer.)",
     ),
     RuleInfo(
-        id="RPL002",
-        name="unchecked-verify",
-        summary="HMAC/verify result discarded",
-        rationale="A dropped verification result is a silent security "
-                  "hole: the simulator would model a controller that "
-                  "computes MACs but never acts on them, voiding the "
-                  "attack-detection claims of Table I.",
-    ),
-    RuleInfo(
-        id="RPL003",
-        name="float-cycle-arith",
-        summary="floating-point arithmetic on a cycle counter",
-        rationale="Cycle counts are exact integers; float rounding in "
-                  "the WPQ drain clock or the CPU model makes latency "
-                  "comparisons between schemes (Fig 9/10) "
-                  "non-reproducible across platforms.",
-    ),
-    RuleInfo(
         id="RPL004",
         name="bare-assert",
         summary="bare assert used for runtime validation in library "
@@ -80,19 +62,6 @@ ALL_RULES: tuple[RuleInfo, ...] = (
                   "path.  Bind counters once at construction.",
     ),
     RuleInfo(
-        id="RPL006",
-        name="obs-unattributed-cycles",
-        summary="scheme method advances cycle time without emitting an "
-                "observability event",
-        rationale="The repro.obs attribution invariant (per-component "
-                  "cycles summing to total cycles) only holds when "
-                  "every scheme method that charges latency — hash "
-                  "bursts, WPQ enqueues, node persists — also emits a "
-                  "trace event naming where the cycles went.  A silent "
-                  "charge shows up as an unexplained gap in the "
-                  "Perfetto timeline and the flame report.",
-    ),
-    RuleInfo(
         id="RPL007",
         name="persist-protocol",
         summary="scheme violates its declared persist-ordering "
@@ -108,20 +77,6 @@ ALL_RULES: tuple[RuleInfo, ...] = (
                   "uncovered branch is a crash window the runtime "
                   "sanitizer can only catch if a workload happens to "
                   "drive that branch.",
-    ),
-    RuleInfo(
-        id="RPL008",
-        name="exception-unsafe-attribution",
-        summary="exception path can escape between a ledger charge "
-                "and its observability emit",
-        rationale="The attribution invariant (charged cycles == "
-                  "emitted cycles) must hold even when an access "
-                  "raises: a call that may raise between an "
-                  "AttributionLedger charge and the obs emit that "
-                  "funds it leaves the ledger ahead of the trace, so "
-                  "the flame report no longer sums to total cycles.  "
-                  "Wrap the charge-emit window in try/finally or emit "
-                  "before the raising call.",
     ),
     RuleInfo(
         id="RPL009",

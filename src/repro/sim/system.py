@@ -52,8 +52,8 @@ class System:
 
     * ``"auto"`` (default): run eligible traces through the epoch-batched
       engine (:mod:`repro.sim.epoch`); anything it cannot reproduce
-      byte-identically — recorders, sanitizer seams, crash knobs,
-      scalar-only environments — silently takes the scalar loop.
+      byte-identically — recorders, sanitizer seams, crash knobs —
+      silently takes the scalar loop.
     * ``"scalar"``: always the per-access reference loop.
 
     To require the epoch engine instead, drive
@@ -112,8 +112,7 @@ class System:
                 # An IntegrityError here is a detected attack: the run
                 # aborts, so the charged-but-unemitted cpu cycles never
                 # reach a report.
-                outcome = self.controller.read_data(  # reprolint: disable=exception-unsafe-attribution
-                    line, self.cycle)
+                outcome = self.controller.read_data(line, self.cycle)
                 self.cycle += outcome.latency
                 self._load_stalls.value += outcome.latency
                 # latency == max(array, verify-chain) + flush: the
@@ -140,7 +139,7 @@ class System:
             start = self.cycle
             # Same modelling intent as the read path: a raise aborts
             # the simulation, no report is rendered from the ledger.
-            outcome = self.controller.write_data(  # reprolint: disable=exception-unsafe-attribution
+            outcome = self.controller.write_data(
                 line, access.data, self.cycle, persist=True)
             self.cycle += outcome.cpu_stall
             self._persist_stalls.value += outcome.cpu_stall

@@ -1,9 +1,10 @@
 # reprolint-fixture-path: secure/broken_schemes.py
-"""Seeded-bug schemes caught by BOTH halves of the tooling: the static
-protocol rules (RPL007/RPL002, proven on all paths without running a
-single cycle) and the PR-1 runtime sanitizer (which needs a workload to
-drive the broken path).  ``tests/analysis/test_broken_schemes.py``
-asserts the cross-validation in both directions.
+"""Seeded-bug schemes for ``tests/analysis/test_broken_schemes.py``.
+The ordering bug is caught by BOTH halves of the tooling: the static
+protocol rule (RPL007, proven on all paths without running a single
+cycle) and the runtime sanitizer (which needs a workload to drive the
+broken path).  The dropped verify result is caught at runtime, by
+the integrity check a clean controller performs.
 
 The module is genuinely runnable — both schemes construct and execute
 writes — so the dynamic half of the test is honest."""
@@ -45,9 +46,7 @@ class BrokenEagerScheme(EagerController):
 class DroppedVerifyScheme(SCUEController):
     """Routes the chain verification through a helper and then drops
     the helper's boolean — the check can never fail, so a tampered node
-    is silently accepted.  Invisible to the flat RPL002 (no direct
-    ``.verify`` discard in sight); the interprocedural half follows the
-    call edge and flags the discard."""
+    is silently accepted."""
 
     def _node_ok(self, node, line, parent_counter):
         return node.verify(self.mac, line, parent_counter)

@@ -13,17 +13,6 @@ def persist_with_adr(controller, addr, data, cycle):
     return stall
 
 
-def fetch_and_check(leaf, mac, addr, counter):
-    if not leaf.verify(mac, addr, counter):
-        raise IntegrityError("leaf HMAC mismatch")
-    return leaf
-
-
-def ns_to_cycles(ns, ghz):
-    cycles = int(-(-ns * ghz // 1))
-    return cycles
-
-
 def validate(cycle):
     if cycle < 0:
         raise IntegrityError("negative cycle")
@@ -36,11 +25,3 @@ class Counted:
 
     def record(self):
         self._events.add()
-
-
-class AttributedScheme:
-    def _flush_node(self, node, cycle):
-        stall = self._persist_node(node, cycle)
-        if self.obs.enabled:
-            self.obs.instant("meta_flush", "controller", cycles=stall)
-        return stall

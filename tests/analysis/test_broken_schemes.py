@@ -1,9 +1,8 @@
-"""Seeded-bug cross-validation: the static protocol rules and the PR-1
-runtime sanitizer must each catch the SAME two bugs — RPL007's
-parent-before-leaf inversion is also caught live by the bottom-up
-ordering rule, and RPL002's dropped verify result shows up dynamically
-as a tampered node sailing through a scheme that a clean controller
-rejects."""
+"""Seeded-bug cross-validation: RPL007's parent-before-leaf inversion
+is caught both statically and live by the runtime sanitizer's bottom-up
+ordering rule.  The dropped verify result is checked dynamically only:
+a tampered node sails through the broken scheme while a clean
+controller rejects it."""
 
 import random
 from pathlib import Path
@@ -59,12 +58,12 @@ def tamper_counter_block(controller):
 
 
 class TestStaticHalf:
-    """The lint proves both bugs on all static paths — no workload."""
+    """The lint proves the ordering bug on all static paths — no
+    workload."""
 
-    def test_exactly_the_two_seeded_rules_fire(self):
+    def test_exactly_the_seeded_rule_fires(self):
         violations = Linter(FIXTURE).run()
-        assert sorted(v.rule.name for v in violations) == [
-            "persist-protocol", "unchecked-verify"]
+        assert [v.rule.name for v in violations] == ["persist-protocol"]
 
     def test_rpl007_lands_on_the_cross_call_parent_persist(self):
         (v,) = [v for v in Linter(FIXTURE).run()
@@ -73,15 +72,10 @@ class TestStaticHalf:
         # flat per-function scanning could never attribute.
         assert v.line == marker_line("# ancestor first: bug")
 
-    def test_rpl002_lands_on_the_discarded_helper_result(self):
-        (v,) = [v for v in Linter(FIXTURE).run()
-                if v.rule.name == "unchecked-verify"]
-        assert v.line == marker_line("# result dropped: bug")
-
 
 class TestDynamicHalf:
-    """The PR-1 sanitizer and the integrity machinery catch the same
-    bugs at runtime, validating the static verdicts."""
+    """The runtime sanitizer and the integrity machinery catch both
+    bugs at runtime."""
 
     def test_parent_first_persist_trips_the_bottom_up_rule(self):
         controller = BrokenEagerScheme(small_config("eager"))

@@ -102,7 +102,7 @@ class TestUpdateBaseline:
         main([str(FIXTURES / "bad_bare_assert.py"),
               "--update-baseline", "--baseline", str(baseline)])
         capsys.readouterr()
-        assert main([str(FIXTURES / "bad_float_cycles.py"),
+        assert main([str(FIXTURES / "bad_stat_counter.py"),
                      "--update-baseline", "--baseline",
                      str(baseline)]) == 0
         out = capsys.readouterr().out

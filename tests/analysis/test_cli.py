@@ -23,10 +23,16 @@ class TestExitCodes:
 
     def test_select_unrelated_rule_passes(self, capsys):
         assert main([BAD, "--no-baseline",
-                     "--select", "unchecked-verify"]) == 0
+                     "--select", "stat-counter-discipline"]) == 0
 
     def test_select_by_id_still_fails(self, capsys):
         assert main([BAD, "--no-baseline", "--select", "RPL004"]) == 1
+
+    def test_select_retired_rule_is_a_usage_error(self, capsys):
+        # RPL002/003/006/008 were retired in favour of the runtime
+        # checks that already enforce their invariants.
+        for rule_id in ("RPL002", "RPL003", "RPL006", "RPL008"):
+            assert main([BAD, "--no-baseline", "--select", rule_id]) == 2
 
 
 class TestJsonOutput:
@@ -59,9 +65,12 @@ class TestListRules:
     def test_every_rule_described(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPL001", "RPL002", "RPL003", "RPL004",
-                        "RPL005"):
+        for rule_id in ("RPL001", "RPL004", "RPL005", "RPL007",
+                        "RPL009", "RPL010", "RPL011", "RPL012",
+                        "RPL013", "RPL014"):
             assert rule_id in out
+        for rule_id in ("RPL002", "RPL003", "RPL006", "RPL008"):
+            assert rule_id not in out
 
 
 class TestRepoGate:

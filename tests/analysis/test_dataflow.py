@@ -1,5 +1,5 @@
-"""Worklist dataflow engine: must/may joins, loops reaching fixpoint,
-and facts_before replaying block prefixes."""
+"""Worklist dataflow engine: must joins, loops reaching fixpoint, and
+facts_before replaying block prefixes."""
 
 import ast
 import textwrap
@@ -8,7 +8,7 @@ from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import ForwardAnalysis, gen_kill_flow
 
 
-def analyse(source, *, must=True, entry_facts=frozenset()):
+def analyse(source, *, entry_facts=frozenset()):
     func = ast.parse(textwrap.dedent(source)).body[0]
     cfg = build_cfg(func)
 
@@ -29,7 +29,7 @@ def analyse(source, *, must=True, entry_facts=frozenset()):
         return frozenset()
 
     return cfg, ForwardAnalysis(cfg, gen_kill_flow(gen, kill),
-                                must=must, entry_facts=entry_facts)
+                                entry_facts=entry_facts)
 
 
 class TestMust:
@@ -91,39 +91,6 @@ class TestMust:
         dead = [node for _, _, node in cfg.nodes()
                 if isinstance(node, ast.Expr)]
         assert dead and analysis.facts_before(dead[0]) is None
-
-
-class TestMay:
-    def test_fact_on_one_branch_survives_a_may_join(self):
-        _, a = analyse("""
-        def f(c):
-            if c:
-                mark_x()
-            tail()
-        """, must=False)
-        assert a.facts_at_exit() == {"x"}
-
-    def test_kill_on_every_path_removes_the_fact(self):
-        _, a = analyse("""
-        def f(c):
-            mark_x()
-            if c:
-                drop_x()
-            else:
-                drop_x()
-            tail()
-        """, must=False)
-        assert a.facts_at_exit() == frozenset()
-
-    def test_kill_on_one_path_keeps_the_may_fact(self):
-        _, a = analyse("""
-        def f(c):
-            mark_x()
-            if c:
-                drop_x()
-            tail()
-        """, must=False)
-        assert a.facts_at_exit() == {"x"}
 
 
 class TestFactsBefore:

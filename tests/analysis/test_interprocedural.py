@@ -1,8 +1,8 @@
-"""Interprocedural RPL001/RPL002: caller-side enqueues credit callees,
-branch-sensitive paths are proven on the CFG (not by line order), guard
-falsification prunes impossible edges, and verify results are tracked
-across call boundaries.  A replica of the old flat rule shows the
-upgrade strictly reduces the suppressions it would have demanded."""
+"""Interprocedural RPL001: caller-side enqueues credit callees,
+branch-sensitive paths are proven on the CFG (not by line order), and
+guard falsification prunes impossible edges.  A replica of the old flat
+rule shows the upgrade strictly reduces the suppressions it would have
+demanded."""
 
 import ast
 import textwrap
@@ -10,12 +10,11 @@ import textwrap
 from repro.analysis import Linter
 
 PIN = "# reprolint-fixture-path: tree/mod.py\n"
-PIN_SECURE = "# reprolint-fixture-path: secure/mod.py\n"
 
 
-def lint(tmp_path, source, select, pin=PIN):
+def lint(tmp_path, source, select):
     path = tmp_path / "mod.py"
-    path.write_text(pin + textwrap.dedent(source))
+    path.write_text(PIN + textwrap.dedent(source))
     return Linter(path, select=select).run()
 
 
@@ -166,97 +165,6 @@ class TestFlatFallbackScopes:
         # cover it, and nested defs are outside the indexed call graph.
         (v,) = lint(tmp_path, source, ["nvm-direct-store"])
         assert v.line == line_of(tmp_path, "write_line")
-
-
-class TestVerifyAcrossCalls:
-    def test_discarding_a_verify_returning_helper_flags(self, tmp_path):
-        source = """
-        class Chain:
-            def _ok(self, node, mac, addr, counter):
-                return node.verify(mac, addr, counter)
-
-            def fetch(self, node, mac, addr, counter):
-                self._ok(node, mac, addr, counter)
-                return node
-        """
-        (v,) = lint(tmp_path, source, ["unchecked-verify"],
-                    pin=PIN_SECURE)
-        assert v.line == line_of(tmp_path, "self._ok(node")
-        assert "_ok" in v.message and "call boundary" in v.message
-
-    def test_transitive_verify_return_is_followed(self, tmp_path):
-        source = """
-        class Chain:
-            def _ok(self, node, mac, addr, counter):
-                return node.verify(mac, addr, counter)
-
-            def _ok2(self, node, mac, addr, counter):
-                return self._ok(node, mac, addr, counter)
-
-            def fetch(self, node, mac, addr, counter):
-                self._ok2(node, mac, addr, counter)
-                return node
-        """
-        (v,) = lint(tmp_path, source, ["unchecked-verify"],
-                    pin=PIN_SECURE)
-        assert "_ok2" in v.message
-
-    def test_consumed_helper_result_passes(self, tmp_path):
-        source = """
-        class Chain:
-            def _ok(self, node, mac, addr, counter):
-                return node.verify(mac, addr, counter)
-
-            def fetch(self, node, mac, addr, counter):
-                if not self._ok(node, mac, addr, counter):
-                    raise ValueError("tampered")
-                return node
-        """
-        assert lint(tmp_path, source, ["unchecked-verify"],
-                    pin=PIN_SECURE) == []
-
-
-class TestUnconsumedResults:
-    def test_result_consulted_on_only_one_path_flags(self, tmp_path):
-        source = """
-        class Chain:
-            def fetch(self, node, mac, addr, counter, strict):
-                ok = node.verify(mac, addr, counter)
-                if strict:
-                    if not ok:
-                        raise ValueError("tampered")
-                return node
-        """
-        (v,) = lint(tmp_path, source, ["unchecked-verify"],
-                    pin=PIN_SECURE)
-        assert v.line == line_of(tmp_path, "ok = node.verify")
-        assert "never consulted on some path" in v.message
-
-    def test_result_consulted_on_every_path_passes(self, tmp_path):
-        source = """
-        class Chain:
-            def fetch(self, node, mac, addr, counter):
-                ok = node.verify(mac, addr, counter)
-                if not ok:
-                    raise ValueError("tampered")
-                return node
-        """
-        assert lint(tmp_path, source, ["unchecked-verify"],
-                    pin=PIN_SECURE) == []
-
-    def test_assigned_helper_result_never_read_flags(self, tmp_path):
-        source = """
-        class Chain:
-            def _ok(self, node, mac, addr, counter):
-                return node.verify(mac, addr, counter)
-
-            def fetch(self, node, mac, addr, counter):
-                got = self._ok(node, mac, addr, counter)
-                return node
-        """
-        (v,) = lint(tmp_path, source, ["unchecked-verify"],
-                    pin=PIN_SECURE)
-        assert "'got'" in v.message
 
 
 def flat_rpl001(source):

@@ -1,26 +1,17 @@
-"""Protocol-conformance engine (RPL007/RPL008) unit tests, below the
-lint layer: specs are proven on all static paths, roles follow exact
-call edges into helpers, and the attribution-escape checker tracks the
-charge/emit window with a may analysis."""
+"""Protocol-conformance engine (RPL007) unit tests, below the lint
+layer: specs are proven on all static paths and roles follow exact call
+edges into helpers."""
 
 import ast
 import textwrap
 
 from repro.analysis.callgraph import ProjectIndex
-from repro.analysis.protocol import (
-    check_attribution_escape,
-    check_protocols,
-    spec_for,
-)
+from repro.analysis.protocol import check_protocols, spec_for
 
 
-def index_of(source, relpath="secure/mod.py"):
+def findings_for(source):
     tree = ast.parse(textwrap.dedent(source))
-    return ProjectIndex([(relpath, tree)])
-
-
-def findings_for(source, relpath="secure/mod.py"):
-    return check_protocols(index_of(source, relpath))
+    return check_protocols(ProjectIndex([("secure/mod.py", tree)]))
 
 
 class TestSpecs:
@@ -165,97 +156,3 @@ class TestEagerBottomUp:
         """)
         assert len(findings) == 1
 
-
-ESCAPE = """
-class Executor:
-    def _decode(self, record):
-        if record is None:
-            raise ValueError("empty")
-        return record
-
-    def step(self, record):
-        attr = self.attribution.cycles
-        attr["cpu"] += 1
-        decoded = self._decode(record)
-        self.obs.instant("step", payload=decoded)
-"""
-
-
-class TestAttributionEscape:
-    def check(self, source, relpath="sim/mod.py"):
-        return check_attribution_escape(index_of(source, relpath))
-
-    def test_raising_call_inside_the_window_is_flagged(self):
-        (f,) = self.check(ESCAPE)
-        assert "charged but never observed" in f.message
-        wanted = [lineno for lineno, line in
-                  enumerate(textwrap.dedent(ESCAPE).splitlines(), 1)
-                  if "self._decode(record)" in line]
-        assert f.line == wanted[0]
-
-    def test_outside_sim_paths_nothing_fires(self):
-        assert self.check(ESCAPE, relpath="secure/mod.py") == []
-
-    def test_protective_try_closes_the_window(self):
-        assert self.check("""
-        class Executor:
-            def _decode(self, record):
-                if record is None:
-                    raise ValueError("empty")
-                return record
-
-            def step(self, record):
-                attr = self.attribution.cycles
-                attr["cpu"] += 1
-                try:
-                    decoded = self._decode(record)
-                except ValueError:
-                    decoded = None
-                self.obs.instant("step", payload=decoded)
-        """) == []
-
-    def test_charge_after_the_risky_call_is_fine(self):
-        assert self.check("""
-        class Executor:
-            def _decode(self, record):
-                if record is None:
-                    raise ValueError("empty")
-                return record
-
-            def step(self, record):
-                decoded = self._decode(record)
-                attr = self.attribution.cycles
-                attr["cpu"] += 1
-                self.obs.instant("step", payload=decoded)
-        """) == []
-
-    def test_an_emit_between_charge_and_raise_kills_the_fact(self):
-        assert self.check("""
-        class Executor:
-            def _decode(self, record):
-                if record is None:
-                    raise ValueError("empty")
-                return record
-
-            def step(self, record):
-                attr = self.attribution.cycles
-                attr["cpu"] += 1
-                self.obs.instant("charged")
-                decoded = self._decode(record)
-                self.obs.instant("step", payload=decoded)
-        """) == []
-
-    def test_explicit_charge_call_also_opens_the_window(self):
-        (f,) = self.check("""
-        class Executor:
-            def _decode(self, record):
-                if record is None:
-                    raise ValueError("empty")
-                return record
-
-            def step(self, record):
-                self.attribution.charge("cpu", 1)
-                decoded = self._decode(record)
-                self.obs.instant("step", payload=decoded)
-        """)
-        assert "may raise here" in f.message

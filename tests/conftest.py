@@ -70,3 +70,11 @@ def persist_trace(n: int, seed: int = 7,
                   capacity: int = SMALL_CAPACITY) -> list[MemoryAccess]:
     """Persist-only traffic (every access reaches the controller)."""
     return random_trace(n, seed, capacity, kinds=(AccessType.PERSIST,))
+
+
+def store_heavy_trace(n: int, seed: int) -> list[MemoryAccess]:
+    """Mostly stores: the small LLC spills dirty lines, so the write path
+    sees writebacks besides the persists."""
+    return random_trace(n, seed=seed,
+                        kinds=(AccessType.WRITE,) * 3
+                        + (AccessType.READ, AccessType.PERSIST))

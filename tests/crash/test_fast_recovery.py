@@ -107,6 +107,21 @@ class TestTargetedReconstruction:
         report = controller.recover()
         assert not report.success
 
+    @pytest.mark.parametrize("tracker", ["star", "agit"])
+    def test_tampered_stale_leaf_fails_targeted_recovery(self, tracker):
+        """Deferred leaves stay dirty, so the tracker hands recovery a
+        stale *leaf*: its HMAC is the only check.  The roll-forward
+        matches the two shortcut bumps, so the root sum alone passes."""
+        controller = tracked_scue(tracker=tracker,
+                                  leaf_write_through=False)
+        controller.write_data(0, None, cycle=0)
+        controller.write_data(64, None, cycle=100)
+        controller.crash()
+        roll_forward_leaf(controller.store, 0, slot=0, amount=2)
+        report = controller.recover()
+        assert not report.success
+        assert report.leaf_hmac_failures == [0]
+
     def test_tamper_in_clean_subtree_caught_at_runtime(self):
         """The STAR/Anubis security model: an attack on an untouched
         subtree passes *recovery* (its media was never rebuilt) but dies

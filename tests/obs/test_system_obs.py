@@ -3,6 +3,8 @@ valid Chrome traces, attribution sums exactly to simulated cycles, stats
 reset cleanly at the warm-up boundary, and the recorder coexists with
 the persist-order sanitizer without reordering its event stream."""
 
+from collections import Counter
+
 import pytest
 
 from repro.analysis import attach_sanitizer
@@ -14,14 +16,26 @@ from repro.obs.validate import validate_chrome_trace
 from repro.secure import SCHEMES
 from repro.sim.system import System
 
-from tests.conftest import persist_trace, random_trace, small_config
+from tests.conftest import (
+    persist_trace,
+    random_trace,
+    small_config,
+    store_heavy_trace,
+)
 
 ALL = sorted(SCHEMES)
 
+#: Every scheme as configured by default, plus SCUE with deferred leaves
+#: under the Osiris write-back discipline.
+HOOK_CASES = [pytest.param(scheme, {}, id=scheme) for scheme in ALL] + [
+    pytest.param("scue", {"leaf_write_through": False, "osiris_limit": 2},
+                 id="scue-osiris")]
 
-def traced_run(scheme: str, trace=None) -> tuple[System, TraceRecorder]:
+
+def traced_run(scheme: str, trace=None,
+               config=None) -> tuple[System, TraceRecorder]:
     recorder = TraceRecorder()
-    system = System(small_config(scheme), recorder=recorder)
+    system = System(config or small_config(scheme), recorder=recorder)
     system.run(trace if trace is not None else random_trace(120))
     return system, recorder
 
@@ -78,6 +92,43 @@ class TestTracedRuns:
         assert ev.EV_WPQ_ENQUEUE in names
         assert ev.EV_NVM_WRITE in names
         assert ev.EV_HMAC in names
+
+    @pytest.mark.parametrize("scheme,overrides", HOOK_CASES)
+    def test_every_hook_call_emits_its_event(self, scheme, overrides,
+                                              monkeypatch):
+        """Every scheme hook that charges cycles names them in the
+        trace: one leaf_persist per leaf-persist call and one meta_flush
+        per flush.  Under write-through, baseline, bmf-ideal and plp
+        leave no dirty node to evict, so they make no flush calls."""
+        calls = Counter()
+        cls = SCHEMES[scheme]
+        for name in ("_on_leaf_persist", "_flush_node"):
+            def counting(ctl, *args, _real=getattr(cls, name),
+                         _name=name):
+                calls[_name] += 1
+                return _real(ctl, *args)
+            monkeypatch.setattr(cls, name, counting)
+        config = small_config(scheme, metadata_cache_size=1024,
+                              **overrides)
+        system, recorder = traced_run(scheme, store_heavy_trace(400, 5),
+                                      config)
+        leaf_events = [event for event in recorder
+                       if event.name == ev.EV_LEAF_PERSIST]
+        flushes = sum(event.name == ev.EV_META_FLUSH
+                      for event in recorder)
+        assert calls["_on_leaf_persist"] > 0
+        assert flushes == calls["_flush_node"]
+        if overrides:
+            # Deferred leaves persist only when _osiris_writeback forces
+            # them, and each forced write-back is one marked event.
+            forced = system.result("osiris").stats[
+                "controller.osiris_writebacks"]
+            assert forced > 0 and flushes > 0
+            assert len(leaf_events) == forced
+            assert all(event.args["osiris_forced"]
+                       for event in leaf_events)
+        else:
+            assert len(leaf_events) == calls["_on_leaf_persist"]
 
     def test_event_names_stay_in_taxonomy(self):
         _, recorder = traced_run("scue")

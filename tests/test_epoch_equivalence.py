@@ -48,7 +48,7 @@ from repro.secure.base import SecureMemoryController
 from repro.sim import epoch
 from repro.sim.system import System
 
-from tests.conftest import random_trace, small_config
+from tests.conftest import random_trace, small_config, store_heavy_trace
 
 SCHEMES = ("baseline", "lazy", "eager", "plp", "bmf-ideal", "scue")
 
@@ -83,14 +83,6 @@ def hot_line_trace(persists: int) -> list[MemoryAccess]:
         if i % 8 == 0:
             trace.append(MemoryAccess(AccessType.READ, 0x80, gap=1))
     return trace
-
-
-def store_heavy_trace(n: int, seed: int) -> list[MemoryAccess]:
-    """Mostly stores: the small LLC spills dirty lines, so the write path
-    sees writebacks besides the persists."""
-    return random_trace(n, seed=seed,
-                        kinds=(AccessType.WRITE,) * 3
-                        + (AccessType.READ, AccessType.PERSIST))
 
 
 class TestEngineEquivalence:
