@@ -235,19 +235,17 @@ def _campaign_opts(args: argparse.Namespace) -> dict:
     """Campaign keywords shared by ``figures`` and ``campaign run``."""
     from pathlib import Path
 
-    from repro.campaign import ProgressReporter
-    from repro.serve.storage import CampaignStore
+    from repro.campaign import ProgressReporter, ResultCache
 
     opts: dict = {"jobs": args.jobs}
     if args.jobs > 1 or getattr(args, "campaign_dir", None):
         opts["progress"] = ProgressReporter()
     if getattr(args, "campaign_dir", None):
-        # The storage layer: same on-disk objects as the old bare
-        # ResultCache, plus the sqlite index the service queries — a
-        # figure run against a server's --dir warms the shared store.
-        store = CampaignStore(Path(args.campaign_dir))
-        opts["cache"] = store
-        opts["manifest_path"] = store.manifest_path
+        # The campaign-directory layout a server's --dir shares, so a
+        # figure run against it reuses and adds to the served cells.
+        base = Path(args.campaign_dir)
+        opts["cache"] = ResultCache(base / "cache")
+        opts["manifest_path"] = base / "manifest.json"
     return opts
 
 
@@ -395,13 +393,12 @@ def _campaign_dir(args: argparse.Namespace) -> "Path":
 
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.campaign import ProgressReporter, run_campaign
-    from repro.serve.storage import CampaignStore
+    from repro.campaign import ProgressReporter, ResultCache, run_campaign
 
     spec = _campaign_spec(args)
     base = _campaign_dir(args)
-    cache = CampaignStore(base)
-    manifest_path = cache.manifest_path
+    cache = ResultCache(base / "cache")
+    manifest_path = base / "manifest.json"
     print(f"campaign directory: {base}")
     outcome = run_campaign(
         spec, jobs=args.jobs, cache=cache, manifest_path=manifest_path,

@@ -141,10 +141,10 @@ class CounterBlock:
     # Integrity
     # ------------------------------------------------------------------
     def _counter_image(self) -> bytes:
-        # Direct shift-or packing of the (major, minors) fields — same
-        # little-endian layout BitPacker produced, an order of magnitude
-        # cheaper on the access path.  Field-width validation is kept: an
-        # oversized counter is model corruption and must not pack silently.
+        # Direct shift-or packing of the (major, minors) fields into a
+        # little-endian image, major in the lowest bits.  Field-width
+        # validation is kept: an oversized counter is model corruption
+        # and must not pack silently.
         key = (self.major, tuple(self.minors))
         image = _IMAGE_MEMO.get(key)
         if image is not None:

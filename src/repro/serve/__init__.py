@@ -6,8 +6,8 @@ architecture, where most requests are cache hits on a shared store and
 only novel cells burn CPU:
 
 * :mod:`repro.serve.storage` — :class:`CampaignStore`, the promoted
-  storage layer: the content-addressed shards plus an sqlite WAL index
-  and an in-memory hot cache, safe under concurrent writers.
+  storage layer: the content-addressed shards plus an in-memory hot
+  cache, safe under concurrent writers.
 * :mod:`repro.serve.queue` / :mod:`repro.serve.quotas` — fair
   round-robin queueing across tenants with quota admission control.
 * :mod:`repro.serve.workers` — the asyncio scheduler + bounded worker

@@ -196,7 +196,7 @@ class ServerApp:
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}
 
         if method == "GET" and parts == ["healthz"]:
-            # store.stats() queries the sqlite index — off the loop.
+            # store.stats() walks the object shards — off the loop.
             store_stats = await asyncio.to_thread(self.store.stats)
             await self._send_json(writer, 200, {
                 "status": "ok", "version": repro.__version__,
@@ -209,11 +209,10 @@ class ServerApp:
                 "store": store_stats})
             return
         if method == "GET" and parts == ["v1", "metrics"]:
-            # The sqlite object count is fetched off the loop; the
-            # scheduler/bus gauges are loop-owned state and must be
-            # snapshotted *on* the loop, so render_metrics itself
-            # stays loop-synchronous.
-            objects = await asyncio.to_thread(self.store.index_count)
+            # The shard count is taken off the loop; the scheduler/bus
+            # gauges are loop-owned state and must be snapshotted *on*
+            # the loop, so render_metrics itself stays loop-synchronous.
+            objects = await asyncio.to_thread(len, self.store.cache)
             text = render_metrics(self.scheduler, self.store, self.bus,
                                   store_objects=objects)
             await self._send_raw(writer, 200, text.encode(),

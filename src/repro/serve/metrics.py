@@ -63,11 +63,11 @@ def render_metrics(scheduler: Any, store: Any, bus: Any, *,
                    store_objects: int | None = None) -> str:
     """The full ``/v1/metrics`` payload for one server instance.
 
-    ``store_objects`` lets an async caller pre-fetch the sqlite object
-    count off the event loop (``asyncio.to_thread(store.index_count)``)
-    and keep this function loop-synchronous — every other gauge reads
+    ``store_objects`` lets an async caller count the object shards off
+    the event loop (``asyncio.to_thread(len, store.cache)``) and keep
+    this function loop-synchronous — every other gauge reads
     loop-owned scheduler/bus state that must not be snapshotted from
-    another thread.  Sync callers omit it and the count is queried
+    another thread.  Sync callers omit it and the count is taken
     inline."""
     w = _Writer()
 
@@ -134,7 +134,7 @@ def render_metrics(scheduler: Any, store: Any, bus: Any, *,
              [({}, hot["entries"])])
     w.family("repro_serve_hot_cache_bytes", "gauge",
              "Bytes resident in the hot cache.", [({}, hot["bytes"])])
-    objects = store.index_count() if store_objects is None \
+    objects = len(store.cache) if store_objects is None \
         else store_objects
     w.family("repro_serve_store_objects", "gauge",
              "Durable result objects in the campaign store.",

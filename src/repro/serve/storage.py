@@ -1,19 +1,11 @@
-"""The shared campaign store: sharded objects + an sqlite WAL index.
+"""The shared campaign store: content-addressed shards + a hot cache.
 
-This is the storage layer the ROADMAP asked the cache/manifest pair to
-be promoted into.  A :class:`CampaignStore` wraps the existing
-content-addressed :class:`~repro.campaign.cache.ResultCache` (the
+A :class:`CampaignStore` wraps the content-addressed
+:class:`~repro.campaign.cache.ResultCache` (the
 ``objects/<key[:2]>/<key>.json`` shards stay byte-identical, so batch
 campaigns and the service share one store) and adds what a long-running
-multi-writer service needs on top:
+service needs on top:
 
-* an **sqlite index** (``index.sqlite``, WAL mode) mapping cache key →
-  cell identity and bookkeeping, so "what do we have" queries are one
-  indexed lookup instead of a directory walk over millions of shards.
-  The index is *derived state*: objects are the source of truth, index
-  rows are upserted best-effort and :meth:`reindex` rebuilds the table
-  from the shards at any time.  A missing or corrupt index therefore
-  degrades to a slower store, never a wrong one.
 * a bounded in-memory **hot cache** of raw entry bytes, so repeated
   fetches of popular cells (the service's dominant request shape) are
   served at memory speed without touching the filesystem.
@@ -21,51 +13,33 @@ multi-writer service needs on top:
   entry straight to the HTTP layer — cache hits are served without a
   decode/re-encode round trip.
 
+The shards are the only persisted state, and what the store reports
+about them is recomputed from them: ``stats()["objects"]`` counts the
+shards on disk, so it cannot drift when ``repro-sim campaign clean`` or
+a torn-entry eviction deletes one.
+
 Directory layout (``CampaignStore(root)``)::
 
     root/cache/objects/<key[:2]>/<key>.json   entries (ResultCache-owned)
-    root/index.sqlite                          derived index (WAL)
     root/manifest.json                         batch-campaign manifests
 
 which is exactly the batch CLI's campaign-directory layout — pointing
 ``repro-sim serve --dir`` at an existing campaign directory serves its
-cells, and batch runs against the same directory keep the index warm.
+cells, and batch runs against the same directory share them.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
 import threading
-import time
 from collections import OrderedDict
 from collections.abc import Callable
-from contextlib import suppress
 from pathlib import Path
 from typing import Any
 
 from repro.campaign.cache import ResultCache, cell_key
 from repro.campaign.spec import CellSpec
 from repro.sim.results import RunResult
-
-#: Bump when the index table layout changes; mismatched indexes are
-#: dropped and rebuilt (they are derived state).
-INDEX_SCHEMA_VERSION = 1
-
-_CREATE = """
-CREATE TABLE IF NOT EXISTS meta (k TEXT PRIMARY KEY, v TEXT NOT NULL);
-CREATE TABLE IF NOT EXISTS cells (
-    key       TEXT PRIMARY KEY,
-    cell_id   TEXT NOT NULL,
-    workload  TEXT NOT NULL,
-    scheme    TEXT NOT NULL,
-    grp       TEXT NOT NULL DEFAULT '',
-    wall_time REAL NOT NULL DEFAULT 0.0,
-    size      INTEGER NOT NULL DEFAULT 0,
-    created   REAL NOT NULL
-);
-CREATE INDEX IF NOT EXISTS cells_by_id ON cells (cell_id);
-"""
 
 
 class HotCache:
@@ -122,12 +96,11 @@ class HotCache:
 
 
 class CampaignStore:
-    """Concurrent-writer-safe result store with an sqlite index.
+    """Concurrent-writer-safe result store with an in-memory hot cache.
 
     Duck-compatible with :class:`ResultCache` where the campaign
     executor needs it (``get``/``put``/``path_for``/``root``/
-    ``__contains__``), so ``run_campaign(cache=store)`` works unchanged
-    and batch campaigns keep the index warm as they run.
+    ``__contains__``), so ``run_campaign(cache=store)`` works unchanged.
     """
 
     def __init__(self, root: str | Path,
@@ -136,12 +109,8 @@ class CampaignStore:
         self.base = Path(root)
         self.base.mkdir(parents=True, exist_ok=True)
         self.cache = ResultCache(self.base / "cache", decode=decode)
-        self.index_path = self.base / "index.sqlite"
         self.hot = HotCache(max_entries=hot_entries)
         self.manifest_path = self.base / "manifest.json"
-        self._db_lock = threading.Lock()
-        self._db: sqlite3.Connection | None = None
-        self._open_index()
 
     # -- ResultCache duck type -----------------------------------------
     @property
@@ -161,7 +130,6 @@ class CampaignStore:
             wall_time: float = 0.0) -> Path:
         path = self.cache.put(cell, result, wall_time)
         self.hot.invalidate(cell_key(cell))
-        self._index_cell(cell_key(cell), cell, wall_time, path)
         return path
 
     # -- service fast paths --------------------------------------------
@@ -199,114 +167,15 @@ class CampaignStore:
             return None
         return json.loads(data)["result"]
 
-    # -- sqlite index ---------------------------------------------------
-    def _open_index(self) -> None:
-        db = sqlite3.connect(self.index_path, timeout=10.0,
-                             check_same_thread=False)
-        try:
-            db.executescript(_CREATE)
-            with suppress(sqlite3.OperationalError):
-                db.execute("PRAGMA journal_mode=WAL")
-            db.execute("PRAGMA synchronous=NORMAL")
-            row = db.execute(
-                "SELECT v FROM meta WHERE k='schema'").fetchone()
-            if row is None:
-                db.execute("INSERT OR REPLACE INTO meta VALUES "
-                           "('schema', ?)", (str(INDEX_SCHEMA_VERSION),))
-                db.commit()
-            elif row[0] != str(INDEX_SCHEMA_VERSION):
-                db.executescript(
-                    "DROP TABLE cells; DROP TABLE meta;" + _CREATE)
-                db.execute("INSERT INTO meta VALUES ('schema', ?)",
-                           (str(INDEX_SCHEMA_VERSION),))
-                db.commit()
-        except sqlite3.Error:
-            # A wedged index must never take the store down: run
-            # indexless (every query falls back to the filesystem).
-            db.close()
-            self._db = None
-            return
-        self._db = db
-
-    def _index_cell(self, key: str, cell: CellSpec, wall_time: float,
-                    path: Path) -> None:
-        if self._db is None:
-            return
-        try:
-            size = path.stat().st_size
-        except OSError:
-            size = 0
-        row = (key, cell.cell_id, cell.workload, cell.config.scheme,
-               cell.group, wall_time, size, time.time())
-        with self._db_lock, suppress(sqlite3.Error):
-            self._db.execute(
-                "INSERT INTO cells VALUES (?,?,?,?,?,?,?,?) "
-                "ON CONFLICT(key) DO UPDATE SET wall_time=excluded."
-                "wall_time, size=excluded.size", row)
-            self._db.commit()
-
-    def index_count(self) -> int:
-        if self._db is None:
-            return len(self.cache)
-        with self._db_lock:
-            with suppress(sqlite3.Error):
-                return self._db.execute(
-                    "SELECT COUNT(*) FROM cells").fetchone()[0]
-        return len(self.cache)
-
-    def index_rows(self) -> list[dict[str, Any]]:
-        if self._db is None:
-            return []
-        with self._db_lock:
-            cursor = self._db.execute(
-                "SELECT key, cell_id, workload, scheme, grp, wall_time, "
-                "size, created FROM cells ORDER BY cell_id")
-            names = [c[0] for c in cursor.description]
-            return [dict(zip(names, row)) for row in cursor.fetchall()]
-
-    def reindex(self) -> int:
-        """Rebuild the index from the object shards; returns row count.
-
-        The recovery path for a deleted/corrupt index and the adoption
-        path for a store populated by pre-index batch campaigns.
-        """
-        if self._db is None:
-            self._open_index()
-        if self._db is None:
-            return 0
-        rows = []
-        for path in self.cache.iter_paths():
-            try:
-                payload = json.loads(path.read_text())
-                cell = CellSpec.from_dict(payload["cell"])
-                rows.append((payload["key"], cell.cell_id, cell.workload,
-                             cell.config.scheme, cell.group,
-                             payload.get("wall_time", 0.0),
-                             path.stat().st_size, time.time()))
-            except (OSError, ValueError, KeyError, TypeError):
-                continue
-        with self._db_lock:
-            self._db.execute("DELETE FROM cells")
-            self._db.executemany(
-                "INSERT OR REPLACE INTO cells VALUES (?,?,?,?,?,?,?,?)",
-                rows)
-            self._db.commit()
-        return len(rows)
-
-    def journal_mode(self) -> str:
-        if self._db is None:
-            return "none"
-        with self._db_lock:
-            return self._db.execute("PRAGMA journal_mode").fetchone()[0]
-
     def stats(self) -> dict[str, Any]:
-        return {"objects": self.index_count(),
+        """Store summary.  ``objects`` counts the shards on disk, a
+        directory walk, so async callers run this in a worker thread.
+        The store keeps no journal, so ``journal_mode`` reads
+        ``"none"``."""
+        return {"objects": len(self.cache),
                 "hot": self.hot.stats(),
-                "journal_mode": self.journal_mode(),
+                "journal_mode": "none",
                 "root": str(self.base)}
 
     def close(self) -> None:
-        if self._db is not None:
-            with suppress(sqlite3.Error):
-                self._db.close()
-            self._db = None
+        """Nothing to release; kept so every store can be closed."""

@@ -309,8 +309,8 @@ class Scheduler:
         """Completed cells' full result payloads, in spec order.
 
         The view rows are snapshotted loop-synchronously (no await
-        touches them), then the store payloads — disk/sqlite reads —
-        are fetched in a worker thread so a large job's results never
+        touches them), then the store payloads — disk reads — are
+        fetched in a worker thread so a large job's results never
         stall the event loop."""
         job = self.job(job_id)
         rows = [(cell_view.cell_id, cell_view.key, cell_view.state)

@@ -125,8 +125,8 @@ class SITNode:
     # Integrity
     # ------------------------------------------------------------------
     def _counter_image(self) -> bytes:
-        # Direct shift-or packing (BitPacker-compatible layout, far
-        # cheaper); width validation kept — oversized counters are model
+        # Direct shift-or packing, first counter in the lowest bits;
+        # width validation kept — oversized counters are model
         # corruption and must not pack silently.
         bits = self.counter_bits
         key = (bits, tuple(self.counters))

@@ -1,10 +1,9 @@
-"""Utility helpers shared across the simulator: bit-level packing for
-counter layouts, the keyed-MAC primitive used for HMAC fields,
+"""Utility helpers shared across the simulator: modular sums for
+fixed-width counters, the keyed-MAC primitive used for HMAC fields,
 statistics counters, and crash-consistent file publication."""
 
 from repro.util.atomic import atomic_write_bytes, atomic_write_text, \
     fsync_dir
-from repro.util.bitfield import BitPacker, pack_counters, unpack_counters
 from repro.util.crypto import KeyedMac, make_otp
 from repro.util.stats import StatCounter, StatGroup, WeightedMean
 
@@ -12,9 +11,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "fsync_dir",
-    "BitPacker",
-    "pack_counters",
-    "unpack_counters",
     "KeyedMac",
     "make_otp",
     "StatCounter",

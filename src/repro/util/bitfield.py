@@ -1,107 +1,16 @@
-"""Bit-level packing helpers for security-metadata layouts.
+"""Fixed-width counter arithmetic for security-metadata layouts.
 
 Secure-memory metadata squeezes many narrow counters into one 64-byte
 memory line: an SIT node holds eight 56-bit counters plus a 64-bit HMAC
 (8 x 56 + 64 = 512 bits exactly), and a CME counter block holds one 64-bit
-major counter plus sixty-four 7-bit minor counters (64 + 64 x 7 = 512 bits).
-This module provides the packing/unpacking used to serialise those layouts
-to the byte image stored in the simulated NVM, so that crash truncation and
-attack injection operate on realistic on-media images.
+major counter, sixty-four 6-bit minor counters and a 64-bit HMAC
+(64 + 64 x 6 + 64 = 512 bits).  Counters stored in fixed-width fields
+wrap, so sums over them are taken modulo the field width.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
-from repro.errors import ConfigError
-
-
-class BitPacker:
-    """Accumulates fixed-width unsigned fields into a little-endian bit
-    stream and serialises them to bytes.
-
-    Fields are appended most-significant-bit-last within the stream, i.e.
-    the first field occupies the lowest bit positions of the resulting
-    integer.  The reverse operation is provided by :class:`BitUnpacker`.
-    """
-
-    def __init__(self) -> None:
-        self._value = 0
-        self._bits = 0
-
-    @property
-    def bit_length(self) -> int:
-        """Number of bits appended so far."""
-        return self._bits
-
-    def add(self, value: int, width: int) -> "BitPacker":
-        """Append ``value`` as a ``width``-bit unsigned field.
-
-        Raises :class:`ConfigError` if the value does not fit.
-        """
-        if width <= 0:
-            raise ConfigError(f"field width must be positive, got {width}")
-        if value < 0 or value >> width:
-            raise ConfigError(f"value {value} does not fit in {width} bits")
-        self._value |= value << self._bits
-        self._bits += width
-        return self
-
-    def to_bytes(self, length: int | None = None) -> bytes:
-        """Serialise the accumulated fields.
-
-        ``length`` defaults to the minimal whole-byte size; if given, the
-        accumulated bits must fit exactly or within it (zero padded).
-        """
-        needed = (self._bits + 7) // 8
-        if length is None:
-            length = needed
-        if length < needed:
-            raise ConfigError(
-                f"{self._bits} bits do not fit in {length} bytes")
-        return self._value.to_bytes(length, "little")
-
-
-class BitUnpacker:
-    """Reads fixed-width unsigned fields back out of a byte image produced
-    by :class:`BitPacker`, in the same order they were appended."""
-
-    def __init__(self, data: bytes) -> None:
-        self._value = int.from_bytes(data, "little")
-        self._offset = 0
-        self._limit = len(data) * 8
-
-    def take(self, width: int) -> int:
-        """Read the next ``width``-bit field."""
-        if width <= 0:
-            raise ConfigError(f"field width must be positive, got {width}")
-        if self._offset + width > self._limit:
-            raise ConfigError("bit stream exhausted")
-        field = (self._value >> self._offset) & ((1 << width) - 1)
-        self._offset += width
-        return field
-
-    def take_many(self, width: int, count: int) -> list[int]:
-        """Read ``count`` consecutive fields of ``width`` bits each."""
-        return [self.take(width) for _ in range(count)]
-
-
-def pack_counters(counters: Sequence[int], width: int,
-                  line_size: int = 64) -> bytes:
-    """Pack equal-width counters into a ``line_size``-byte image.
-
-    Used for the counter payload of SIT nodes (eight 56-bit counters) and
-    similar layouts.  Remaining bits are zero.
-    """
-    packer = BitPacker()
-    for counter in counters:
-        packer.add(counter, width)
-    return packer.to_bytes(line_size)
-
-
-def unpack_counters(data: bytes, width: int, count: int) -> list[int]:
-    """Inverse of :func:`pack_counters`."""
-    return BitUnpacker(data).take_many(width, count)
+from collections.abc import Iterable
 
 
 def checked_sum(values: Iterable[int], width: int) -> int:

@@ -71,7 +71,7 @@ class TestRoutes:
         with serving(scratch) as (app, client):
             health = client.health()
             assert health["status"] == "ok"
-            assert health["store"]["journal_mode"] == "wal"
+            assert health["store"]["journal_mode"] == "none"
 
     def test_unknown_routes_are_404(self, scratch):
         with serving(scratch) as (app, client):

@@ -43,7 +43,7 @@ def _fake_store(objects=7):
     return SimpleNamespace(
         hot=SimpleNamespace(stats=lambda: {"entries": 4, "bytes": 512,
                                            "hits": 9, "misses": 6}),
-        index_count=lambda: objects,
+        cache=[None] * objects,
     )
 
 
@@ -158,6 +158,7 @@ class TestMetricsEndpoint:
         assert "repro_serve_jobs_total 1" in text.splitlines()
         assert "repro_serve_cells_submitted_total 3" in text.splitlines()
         assert "repro_serve_cells_computed_total 3" in text.splitlines()
+        assert "repro_serve_store_objects 3" in text.splitlines()
         assert "repro_serve_events_published_total" in text
         for line in text.splitlines():
             if not line.startswith("#"):

@@ -1,10 +1,10 @@
-"""CampaignStore units: cache duck type, sqlite index, hot cache."""
+"""CampaignStore units: cache duck type, object count, hot cache."""
 
 from __future__ import annotations
 
 import json
 
-from repro.campaign.cache import cell_key
+from repro.campaign.cache import ResultCache, cell_key
 from repro.serve.storage import CampaignStore
 
 from tests.campaign._fakes import fake_cells, make_result
@@ -39,57 +39,50 @@ class TestCacheDuckType:
         store.close()
 
 
-class TestSqliteIndex:
-    def test_wal_mode_and_rows(self, tmp_path):
-        store = _store(tmp_path)
-        assert store.journal_mode() == "wal"
-        for cell in fake_cells(3):
-            store.put(cell, make_result(cell), wall_time=0.5)
-        assert store.index_count() == 3
-        rows = store.index_rows()
-        assert [row["cell_id"] for row in rows] == sorted(
-            cell.cell_id for cell in fake_cells(3))
-        assert all(row["size"] > 0 for row in rows)
-        store.close()
+class TestObjectCount:
+    """``stats()["objects"]`` is the number of shards on disk, however
+    they got there or went away."""
 
     def test_put_is_upsert(self, tmp_path):
         store = _store(tmp_path)
         cell = fake_cells(1)[0]
         store.put(cell, make_result(cell), wall_time=1.0)
         store.put(cell, make_result(cell), wall_time=2.0)
-        assert store.index_count() == 1
+        assert store.stats()["objects"] == 1
         store.close()
 
-    def test_reindex_rebuilds_from_shards(self, tmp_path):
-        """The index is derived state: delete it and reindex() gets it
-        all back from the objects."""
-        store = _store(tmp_path)
-        cells = fake_cells(4)
-        for cell in cells:
-            store.put(cell, make_result(cell))
-        store.close()
-
-        (tmp_path / "store" / "index.sqlite").unlink()
-        reopened = _store(tmp_path)
-        assert reopened.index_count() == 0
-        assert reopened.reindex() == 4
-        assert reopened.index_count() == 4
-        # Objects themselves were never touched.
-        for cell in cells:
-            assert cell in reopened
-        reopened.close()
-
-    def test_index_adopts_preexisting_batch_cache(self, tmp_path):
+    def test_counts_preexisting_batch_cache(self, tmp_path):
         """Opening a store over a cache written by ResultCache alone
-        (a pre-service campaign dir) works; reindex adopts the rows."""
-        from repro.campaign.cache import ResultCache
+        (a plain batch campaign dir) serves and counts its cells."""
         legacy = ResultCache(tmp_path / "store" / "cache")
         for cell in fake_cells(2):
             legacy.put(cell, make_result(cell))
         store = _store(tmp_path)
         for cell in fake_cells(2):
             assert cell in store
-        assert store.reindex() == 2
+        assert store.stats()["objects"] == 2
+        store.close()
+
+    def test_campaign_clean_empties_the_count(self, tmp_path):
+        """``repro-sim campaign clean`` deletes the shards without the
+        store; a reopened store counts none."""
+        store = _store(tmp_path)
+        for cell in fake_cells(2):
+            store.put(cell, make_result(cell))
+        store.close()
+        assert ResultCache(store.base / "cache").clear() == 2
+        reopened = _store(tmp_path)
+        assert reopened.stats()["objects"] == 0
+        reopened.close()
+
+    def test_torn_entry_eviction_drops_the_count(self, tmp_path):
+        store = _store(tmp_path)
+        cell = fake_cells(1)[0]
+        path = store.put(cell, make_result(cell))
+        before = store.stats()["objects"]
+        path.write_bytes(b'{"key": "')
+        assert store.get_raw(cell_key(cell)) is None
+        assert store.stats()["objects"] == before - 1
         store.close()
 
 
@@ -160,8 +153,9 @@ class TestStats:
     def test_stats_shape(self, tmp_path):
         store = _store(tmp_path)
         stats = store.stats()
+        assert set(stats) == {"objects", "hot", "journal_mode", "root"}
         assert stats["objects"] == 0
-        assert stats["journal_mode"] == "wal"
+        assert stats["journal_mode"] == "none"
         assert set(stats["hot"]) == {"entries", "bytes", "hits",
                                      "misses"}
         store.close()

@@ -238,7 +238,7 @@ class TestJobResultsOffload:
     still returns every completed payload in spec order."""
 
     def test_job_results_is_a_coroutine_function(self):
-        # Reverting to a sync method would put disk/sqlite reads back
+        # Reverting to a sync method would put disk reads back
         # on the event loop; the route in app.py awaits it.
         assert asyncio.iscoroutinefunction(Scheduler.job_results)
 

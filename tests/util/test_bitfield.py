@@ -1,95 +1,8 @@
-"""Bit-packing: the on-media layouts depend on these being exact."""
+"""Modular counter sums: counter-summing recovery depends on the wrap."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import ConfigError
-from repro.util.bitfield import (
-    BitPacker,
-    BitUnpacker,
-    checked_sum,
-    pack_counters,
-    unpack_counters,
-)
-
-
-class TestBitPacker:
-    def test_single_field_roundtrip(self):
-        data = BitPacker().add(0x2A, 8).to_bytes()
-        assert BitUnpacker(data).take(8) == 0x2A
-
-    def test_fields_preserve_order(self):
-        packer = BitPacker().add(1, 4).add(2, 4).add(3, 8)
-        unpacker = BitUnpacker(packer.to_bytes())
-        assert [unpacker.take(4), unpacker.take(4), unpacker.take(8)] \
-            == [1, 2, 3]
-
-    def test_bit_length_tracks_appends(self):
-        packer = BitPacker().add(0, 56).add(0, 8)
-        assert packer.bit_length == 64
-
-    def test_value_too_wide_rejected(self):
-        with pytest.raises(ConfigError):
-            BitPacker().add(256, 8)
-
-    def test_negative_value_rejected(self):
-        with pytest.raises(ConfigError):
-            BitPacker().add(-1, 8)
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(ConfigError):
-            BitPacker().add(0, 0)
-
-    def test_to_bytes_pads_to_requested_length(self):
-        data = BitPacker().add(1, 8).to_bytes(64)
-        assert len(data) == 64
-        assert data[0] == 1
-        assert not any(data[1:])
-
-    def test_to_bytes_rejects_too_small_length(self):
-        with pytest.raises(ConfigError):
-            BitPacker().add(1, 16).to_bytes(1)
-
-    def test_exact_64_byte_sit_layout(self):
-        """8 x 56-bit counters + 64-bit HMAC == exactly 512 bits."""
-        packer = BitPacker()
-        for i in range(8):
-            packer.add(i, 56)
-        packer.add(0xDEADBEEF, 64)
-        assert packer.bit_length == 512
-        assert len(packer.to_bytes()) == 64
-
-
-class TestBitUnpacker:
-    def test_exhaustion_raises(self):
-        unpacker = BitUnpacker(b"\x01")
-        unpacker.take(8)
-        with pytest.raises(ConfigError):
-            unpacker.take(1)
-
-    def test_take_many(self):
-        data = pack_counters([1, 2, 3, 4], width=7, line_size=8)
-        assert unpack_counters(data, 7, 4) == [1, 2, 3, 4]
-
-
-class TestCountersHelpers:
-    def test_pack_unpack_roundtrip(self):
-        counters = [5, 0, 2**56 - 1, 123, 0, 0, 7, 8]
-        data = pack_counters(counters, 56)
-        assert len(data) == 64
-        assert unpack_counters(data, 56, 8) == counters
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**56 - 1),
-                    min_size=8, max_size=8))
-    def test_roundtrip_any_counters(self, counters):
-        data = pack_counters(counters, 56)
-        assert unpack_counters(data, 56, 8) == counters
-
-    @given(st.lists(st.integers(min_value=0, max_value=2**6 - 1),
-                    min_size=64, max_size=64))
-    def test_roundtrip_minor_counters(self, minors):
-        data = pack_counters(minors, 6, line_size=48)
-        assert unpack_counters(data, 6, 64) == minors
+from repro.util.bitfield import checked_sum
 
 
 class TestCheckedSum:
