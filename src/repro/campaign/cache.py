@@ -176,5 +176,10 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self.iter_paths())
 
+    def contains_key(self, key: str) -> bool:
+        """Whether ``key``'s entry is on disk: one ``stat`` of a string
+        path, since building the ``Path`` would cost more than the stat."""
+        return os.path.isfile(f"{self.objects}/{key[:2]}/{key}.json")
+
     def __contains__(self, cell: CellSpec) -> bool:
-        return self.path_for(cell_key(cell)).is_file()
+        return self.contains_key(cell_key(cell))

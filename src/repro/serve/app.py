@@ -250,9 +250,9 @@ class ServerApp:
                                   job.view.to_dict(with_cells))
             return
         if rest[1] == "results":
-            await self._send_json(writer, 200,
-                                  await self.scheduler.job_results(
-                                      rest[0]))
+            await self._send_raw(writer, 200,
+                                 await self.scheduler.job_results(rest[0]),
+                                 "application/json")
             return
         if rest[1] == "events":
             await self._stream_events(job.view.job_id, writer, query)
@@ -278,21 +278,24 @@ class ServerApp:
                 f"Content-Type: {content_type}\r\n"
                 f"Cache-Control: no-store\r\n"
                 f"Connection: close\r\n\r\n").encode("latin-1")
-        writer.write(head)
-        await writer.drain()
         subscription = self.bus.subscribe(job_id)
         try:
+            # Every event already available goes out with one write and
+            # one drain; for a finished job that is the head and the
+            # whole replay.
             if not follow:
-                for event in self.bus.history(job_id):
-                    writer.write(encode(event))
+                writer.write(head + b"".join(
+                    map(encode, self.bus.history(job_id))))
                 await writer.drain()
                 return
-            while True:
-                event = await subscription.next()
-                if event is None:
-                    break
-                writer.write(encode(event))
+            closed = False
+            while not closed:
+                events = await subscription.next_batch()
+                closed = events[-1] is None
+                writer.write(head + b"".join(
+                    encode(event) for event in events if event is not None))
                 await writer.drain()
+                head = b""
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:

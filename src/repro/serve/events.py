@@ -78,11 +78,15 @@ class Subscription:
             except asyncio.QueueFull:
                 pass
 
-    async def next(self) -> dict[str, Any] | None:
-        """The next event, or ``None`` once the stream is closed."""
-        if self._backlog:
-            return self._backlog.pop(0)
-        return await self._queue.get()
+    async def next_batch(self) -> list[dict[str, Any] | None]:
+        """Every event available now, in order, waiting only while there
+        is none; a trailing ``None`` means the stream is closed."""
+        batch, self._backlog = self._backlog, []
+        if not batch:
+            batch.append(await self._queue.get())
+        while batch[-1] is not None and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
+        return batch
 
     def close(self) -> None:
         self._bus._unsubscribe(self)

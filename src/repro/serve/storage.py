@@ -8,10 +8,14 @@ service needs on top:
 
 * a bounded in-memory **hot cache** of raw entry bytes, so repeated
   fetches of popular cells (the service's dominant request shape) are
-  served at memory speed without touching the filesystem.
-* raw-bytes accessors (:meth:`get_raw`) that hand the canonical JSON
-  entry straight to the HTTP layer — cache hits are served without a
-  decode/re-encode round trip.
+  served from memory.  A hit still confirms that its shard exists (one
+  ``stat``): ``repro-sim campaign clean`` deletes shards from another
+  process, and only the shard can say the cell is gone.
+* raw-bytes accessors that hand canonical JSON straight to the HTTP
+  layer: :meth:`get_raw` returns the whole entry, and
+  :meth:`get_result_raw` slices out its ``result``, which job results
+  splice into their body.  Neither decodes nor re-encodes what it
+  serves; only the first disk read parses an entry, to check its key.
 
 The shards are the only persisted state, and what the store reports
 about them is recomputed from them: ``stats()["objects"]`` counts the
@@ -134,18 +138,22 @@ class CampaignStore:
 
     # -- service fast paths --------------------------------------------
     def contains_key(self, key: str) -> bool:
-        return self.path_for(key).is_file()
+        return self.cache.contains_key(key)
 
     def get_raw(self, key: str) -> bytes | None:
         """The raw canonical-JSON entry bytes for ``key``, or ``None``.
 
-        Served from the in-memory hot cache when possible; a disk read
+        Served from the in-memory hot cache while the shard is still on
+        disk (a hit whose shard is gone drops its entry); a disk read
         validates the entry's embedded key before promoting it (a torn
         or foreign file is treated as absent, matching ``get``).
         """
         data = self.hot.get(key)
         if data is not None:
-            return data
+            if self.contains_key(key):
+                return data
+            self.hot.invalidate(key)
+            return None
         try:
             data = self.path_for(key).read_bytes()
         except OSError:
@@ -160,12 +168,18 @@ class CampaignStore:
         self.hot.put(key, data)
         return data
 
-    def get_result_dict(self, key: str) -> dict[str, Any] | None:
-        """The decoded ``result`` payload for ``key``, or ``None``."""
+    def get_result_raw(self, key: str) -> bytes | None:
+        """The canonical JSON bytes of ``key``'s ``result``, or ``None``.
+
+        A slice of the entry.  ``ResultCache`` writes every entry as
+        canonical JSON, so ``"result":`` follows the key and
+        ``,"wall_time":`` closes the entry."""
         data = self.get_raw(key)
         if data is None:
             return None
-        return json.loads(data)["result"]
+        marker = b'"key":"%s","result":' % key.encode()
+        start = data.index(marker) + len(marker)
+        return data[start:data.rindex(b',"wall_time":')]
 
     def stats(self) -> dict[str, Any]:
         """Store summary.  ``objects`` counts the shards on disk, a

@@ -38,7 +38,7 @@ from repro.serve.events import EventBus, result_obs_summary
 from repro.serve.queue import CellTask, FairQueue
 from repro.serve.quotas import QuotaPolicy, TenantQuotas
 from repro.serve.storage import CampaignStore
-from repro.campaign.cache import cell_key
+from repro.campaign.cache import canonical_json, cell_key
 
 
 class Job:
@@ -305,26 +305,38 @@ class Scheduler:
             raise api.NotFoundError(f"unknown job {job_id!r}")
         return job
 
-    async def job_results(self, job_id: str) -> dict[str, Any]:
-        """Completed cells' full result payloads, in spec order.
+    async def job_results(self, job_id: str) -> bytes:
+        """The results body: completed cells' stored payloads, in spec
+        order.
 
         The view rows are snapshotted loop-synchronously (no await
-        touches them), then the store payloads — disk reads — are
-        fetched in a worker thread so a large job's results never
-        stall the event loop."""
+        touches them); then one worker-thread hop reads every completed
+        cell's entry, so a large job's results never stall the event
+        loop."""
         job = self.job(job_id)
         rows = [(cell_view.cell_id, cell_view.key, cell_view.state)
                 for cell_view in job.view.cells]
-        state = job.view.state
+        return await asyncio.to_thread(self._results_body, job_id,
+                                       job.view.state, rows)
+
+    def _results_body(self, job_id: str, state: str,
+                      rows: list[tuple[str, str, str]]) -> bytes:
+        """``canonical_json`` of the results document plus a newline,
+        built in its key order around each shard's ``result`` bytes, so
+        nothing is decoded or re-encoded.  A completed cell whose shard
+        is gone reads ``null``."""
+        def text(value: str) -> bytes:
+            return canonical_json(value).encode()
+
         cells = []
         for cell_id, key, cell_state in rows:
-            entry: dict[str, Any] = {"cell_id": cell_id, "key": key,
-                                     "state": cell_state}
+            entry = b'{"cell_id":%s,"key":%s,' % (text(cell_id), text(key))
             if cell_state in (api.CELL_CACHED, api.CELL_DONE):
-                entry["result"] = await asyncio.to_thread(
-                    self.store.get_result_dict, key)
-            cells.append(entry)
-        return {"job_id": job_id, "state": state, "cells": cells}
+                result = self.store.get_result_raw(key)
+                entry += b'"result":%s,' % (result or b"null")
+            cells.append(entry + b'"state":%s}' % text(cell_state))
+        return b'{"cells":[%s],"job_id":%s,"state":%s}\n' % (
+            b",".join(cells), text(job_id), text(state))
 
     def describe(self) -> dict[str, Any]:
         return {

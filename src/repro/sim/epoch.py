@@ -11,10 +11,11 @@ byte-identical by construction.
 
 The interpreter inlines the whole metadata path: the fetch-and-verify
 chain (`_fetch_chain` / `fetch_node`), cache install with its eviction
-cascade (`_install`), the per-scheme dirty-victim flush (`_flush_node`),
-WPQ enqueue/drain, and the controller tick.  Every data write, a persist
-or a dirty writeback from the CPU caches, runs through one inlined
-`write_data`.  Rare or stateful seams stay real calls: minor-counter
+cascade (`_install`), the per-scheme dirty-victim flush (`_flush_node`;
+BMF-ideal has none, since under write-through it never evicts a dirty
+node), WPQ enqueue/drain, and the controller tick.  Every data write, a
+persist or a dirty writeback from the CPU caches, runs through one
+inlined `write_data`.  Rare or stateful seams stay real calls: minor-counter
 overflows (`_bump_leaf`) and the not-resident re-dirty path
 (`_mark_dirty`).
 
@@ -946,24 +947,10 @@ class EpochEngine:
             return stall
 
         def flush_bmf(node, cycle):
-            """BMF-ideal flush: bump the persistent root, seal, persist."""
-            if node.__class__ is not CounterBlock:
-                raise SimulationError(
-                    "BMF-ideal never caches nodes above the leaf level")
-            index = node.index
-            root = nvmc.get(index // arity)
-            if root is None:
-                root = persistent_root(index // arity)
-            slot = index % arity
-            counters = root.counters
-            counters[slot] = (counters[slot] + 1) & nmask
-            root.hmac_stale = True
-            addr = cap + (index << 6)
-            seal_leaf(node, addr, counters[slot])
-            hashes.value += 1
-            busy.value += hash_lat
-            stall, _ = persist_node(node, addr, cycle)
-            return stall
+            """Unreachable: BMF-ideal caches only leaves, and eligibility
+            requires write-through leaves, so no victim is ever dirty."""
+            raise SimulationError("dirty BMF-ideal metadata-cache victim "
+                                  "under write-through leaves")
 
         flush_victim = {"scue": flush_scue, "lazy": flush_lazy,
                         "eager": flush_simple, "plp": flush_simple,

@@ -31,15 +31,20 @@ DEFERRED = {"leaf_write_through": False}
 #: leaf_persist event: the dirty leaf waits for its flush.
 DEFERRED_SILENT = frozenset({"baseline", "lazy", "scue"})
 
+#: A 2-way metadata cache: PLP's branch walk can evict a parent it has
+#: just dirtied, which is how PLP reaches ``_flush_node``.
+TWO_WAY = {"metadata_cache_ways": 2}
+
 #: Every scheme as configured by default, every scheme with deferred
-#: leaves, and SCUE with deferred leaves under the Osiris write-back
-#: discipline.
+#: leaves, SCUE with deferred leaves under the Osiris write-back
+#: discipline, and PLP with a 2-way metadata cache.
 HOOK_CASES = (
     [pytest.param(scheme, {}, id=scheme) for scheme in ALL]
     + [pytest.param(scheme, DEFERRED, id=f"{scheme}-deferred")
        for scheme in ALL]
     + [pytest.param("scue", {**DEFERRED, "osiris_limit": 2},
-                    id="scue-osiris")])
+                    id="scue-osiris"),
+       pytest.param("plp", TWO_WAY, id="plp-2way")])
 
 
 def traced_run(scheme: str, trace=None,
@@ -108,9 +113,13 @@ class TestTracedRuns:
                                               monkeypatch):
         """Every scheme hook that charges cycles names them in the
         trace: one leaf_persist per leaf-persist call and one meta_flush
-        per flush.  Under write-through, baseline, bmf-ideal and plp
-        leave no dirty node to evict, so they make no flush calls; with
-        deferred leaves every scheme but plp flushes."""
+        per flush.  Under write-through, baseline and bmf-ideal cache
+        only leaves, which every write persists, so they never flush.
+        PLP persists and cleans its whole branch on every write, yet
+        its branch walk can evict an ancestor it has just dirtied: that
+        takes a small, low-associativity metadata cache, so the 2-way
+        case must flush.  With deferred leaves every scheme but plp
+        flushes."""
         calls = Counter()
         cls = SCHEMES[scheme]
         for name in ("_on_leaf_persist", "_flush_node"):
@@ -129,7 +138,7 @@ class TestTracedRuns:
                       for event in recorder)
         assert calls["_on_leaf_persist"] > 0
         assert flushes == calls["_flush_node"]
-        if overrides and scheme != "plp":
+        if overrides and (scheme != "plp" or overrides == TWO_WAY):
             assert flushes > 0
         if overrides.get("osiris_limit"):
             # Deferred leaves persist only when _osiris_writeback forces

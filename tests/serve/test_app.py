@@ -18,12 +18,22 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign.cache import ResultCache
 from repro.campaign.executor import run_campaign
+from repro.campaign.spec import CampaignSpec
 from repro.serve import api
 from repro.serve.app import ServeConfig, ServerApp
 from repro.serve.client import ClientError, ServeClient, discover_url
+from repro.serve.events import encode_ndjson, encode_sse
 
-from tests.campaign._fakes import fake_spec, ok_cell, raising_cell
+from tests.campaign._fakes import (
+    fake_cells,
+    fake_spec,
+    make_result,
+    ok_cell,
+    poison_cell,
+    raising_cell,
+)
 
 
 @contextmanager
@@ -64,6 +74,23 @@ def scratch(tmp_path, monkeypatch):
 
 def _canon(payload) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _get(client: ServeClient, path: str) -> bytes:
+    """The raw body of one GET."""
+    with urllib.request.urlopen(client.url + path, timeout=30) as response:
+        return response.read()
+
+
+def _mixed_job(app, client) -> str:
+    """A finished job with one cached, one computed and one failed cell
+    (run with ``poison_cell``); returns its id."""
+    cached, done = fake_cells(2)
+    failed = fake_cells(1, group_prefix="poison")[0]
+    app.store.put(cached, make_result(cached))
+    spec = CampaignSpec("mixed", (cached, done, failed))
+    return client.wait(client.submit(spec.to_dict())["job_id"],
+                       timeout=60)["job_id"]
 
 
 class TestRoutes:
@@ -148,6 +175,51 @@ class TestSubmitLifecycle:
         for index, (cell, result) in enumerate(batch.iter_results()):
             assert _canon(served["cells"][index]["result"]) == \
                 _canon(result.to_dict())
+
+
+class TestStoredBytes:
+    """Job results are spliced from the stored entries, and a finished
+    job's stream is its history, encoded."""
+
+    def test_results_body_is_canonical_and_spliced(self, scratch):
+        with serving(scratch, cell_fn=poison_cell, retries=0) \
+                as (app, client):
+            job_id = _mixed_job(app, client)
+            body = _get(client, f"/v1/campaigns/{job_id}/results")
+        document = json.loads(body)
+        assert body == (_canon(document) + "\n").encode()
+        cells = document["cells"]
+        assert [cell["state"] for cell in cells] == \
+            [api.CELL_CACHED, api.CELL_DONE, api.CELL_FAILED]
+        assert "result" not in cells[2]
+        for cell in cells[:2]:
+            shard = app.store.path_for(cell["key"]).read_bytes()
+            assert cell["result"] == json.loads(shard)["result"]
+
+    def test_finished_streams_are_the_encoded_history(self, scratch):
+        with serving(scratch, cell_fn=poison_cell, retries=0) \
+                as (app, client):
+            job_id = _mixed_job(app, client)
+            history = app.bus.history(job_id)
+            ndjson = _get(client, f"/v1/campaigns/{job_id}/events")
+            sse = _get(client, f"/v1/campaigns/{job_id}/events?format=sse")
+        assert ndjson == b"".join(map(encode_ndjson, history))
+        assert sse == b"".join(map(encode_sse, history))
+
+    def test_cleaned_cells_are_gone(self, scratch):
+        """``repro-sim campaign clean`` on the served directory, after
+        the job's results promoted its cells into the hot cache."""
+        with serving(scratch) as (app, client):
+            job_id = client.wait(
+                client.submit(fake_spec(2).to_dict())["job_id"],
+                timeout=60)["job_id"]
+            keys = [cell["key"] for cell in client.results(job_id)["cells"]]
+            assert ResultCache(app.store.base / "cache").clear() == 2
+            with pytest.raises(ClientError) as excinfo:
+                client.fetch_cell(keys[0])
+            assert excinfo.value.status == 404
+            body = _get(client, f"/v1/campaigns/{job_id}/results")
+        assert body.count(b'"result":null') == 2
 
 
 class TestQuotasOverHttp:

@@ -20,12 +20,15 @@ def _publish_some(bus: EventBus, job: str, n: int) -> None:
 
 
 class TestHistoryReplay:
+    """A subscription hands out every event available at once: the
+    replayed history, then whatever arrived, with ``None`` at EOF."""
+
     def test_late_subscriber_replays_backlog(self):
         async def body():
             bus = EventBus()
             _publish_some(bus, "job-1", 3)
             sub = bus.subscribe("job-1")
-            seen = [await sub.next() for _ in range(3)]
+            seen = await sub.next_batch()
             assert [e["cell_id"] for e in seen] == ["c0", "c1", "c2"]
             sub.close()
         asyncio.run(body())
@@ -35,12 +38,14 @@ class TestHistoryReplay:
             bus = EventBus()
             _publish_some(bus, "job-1", 1)
             sub = bus.subscribe("job-1")
-            assert (await sub.next())["cell_id"] == "c0"
+            [replayed] = await sub.next_batch()
+            assert replayed["cell_id"] == "c0"
             bus.publish("job-1", "cell_finished", cell_id="c0",
                         key="k" * 64, status="done", wall_time=0.1)
             bus.close_job("job-1")
-            assert (await sub.next())["event"] == "cell_finished"
-            assert await sub.next() is None     # EOF
+            live, eof = await sub.next_batch()
+            assert live["event"] == "cell_finished"
+            assert eof is None
             sub.close()
         asyncio.run(body())
 
@@ -52,9 +57,9 @@ class TestHistoryReplay:
             _publish_some(bus, "job-1", 2)
             bus.close_job("job-1")
             sub = bus.subscribe("job-1")
-            assert (await sub.next())["cell_id"] == "c0"
-            assert (await sub.next())["cell_id"] == "c1"
-            assert await sub.next() is None
+            first, second, eof = await sub.next_batch()
+            assert (first["cell_id"], second["cell_id"]) == ("c0", "c1")
+            assert eof is None
         asyncio.run(body())
 
     def test_jobs_are_isolated(self):
@@ -63,7 +68,7 @@ class TestHistoryReplay:
             _publish_some(bus, "job-1", 2)
             _publish_some(bus, "job-2", 1)
             sub = bus.subscribe("job-2")
-            assert (await sub.next())["job"] == "job-2"
+            assert [e["job"] for e in await sub.next_batch()] == ["job-2"]
             assert bus.history("job-1")[0]["job"] == "job-1"
             sub.close()
         asyncio.run(body())
@@ -100,9 +105,9 @@ class TestLossySubscriber:
             sub._queue = asyncio.Queue(maxsize=2)
             _publish_some(bus, "job-1", 5)
             assert sub.lossy
-            first = await sub.next()
-            assert first["cell_id"] == "c3"     # oldest were dropped
-            assert (await sub.next())["cell_id"] == "c4"
+            seen = await sub.next_batch()
+            # The oldest were dropped.
+            assert [e["cell_id"] for e in seen] == ["c3", "c4"]
             sub.close()
         asyncio.run(body())
 

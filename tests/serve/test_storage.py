@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.campaign.cache import ResultCache, cell_key
+from repro.campaign.cache import ResultCache, canonical_json, cell_key
 from repro.serve.storage import CampaignStore
 
 from tests.campaign._fakes import fake_cells, make_result
@@ -139,13 +139,35 @@ class TestHotCache:
         assert len(store.hot) == 2
         store.close()
 
-    def test_get_result_dict(self, tmp_path):
+    def test_get_result_raw(self, tmp_path):
+        """The entry's ``result`` slice: the canonical JSON of the
+        decoded payload, byte for byte."""
         store = _store(tmp_path)
         cell = fake_cells(1)[0]
         store.put(cell, make_result(cell))
-        payload = store.get_result_dict(cell_key(cell))
+        key = cell_key(cell)
+        raw = store.get_result_raw(key)
+        payload = json.loads(raw)
+        assert payload == json.loads(store.get_raw(key))["result"]
+        assert raw == canonical_json(payload).encode()
         assert payload["workload"] == cell.workload
         assert payload["cycles"] == 1000
+        assert store.get_result_raw("0" * 64) is None
+        store.close()
+
+    def test_cleaned_shard_ends_its_hot_entry(self, tmp_path):
+        """``repro-sim campaign clean`` deletes shards from another
+        process: a hot hit whose shard is gone is a miss, and its
+        entry goes."""
+        store = _store(tmp_path)
+        cell = fake_cells(1)[0]
+        store.put(cell, make_result(cell))
+        key = cell_key(cell)
+        assert store.get_raw(key) is not None        # promote
+        assert ResultCache(store.base / "cache").clear() == 1
+        assert store.get_raw(key) is None
+        assert store.get_result_raw(key) is None
+        assert len(store.hot) == 0
         store.close()
 
 

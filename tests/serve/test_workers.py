@@ -5,6 +5,7 @@ timeout-kill, same failure message shape."""
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
 import pytest
@@ -235,7 +236,8 @@ class TestSchedulerTimeouts:
 class TestJobResultsOffload:
     """Regression for the RPL014 burn-down: ``job_results`` is async
     (store payload reads happen in a worker thread, off the loop) and
-    still returns every completed payload in spec order."""
+    still returns every completed payload in spec order, as the JSON
+    body the route sends."""
 
     def test_job_results_is_a_coroutine_function(self):
         # Reverting to a sync method would put disk reads back
@@ -248,7 +250,8 @@ class TestJobResultsOffload:
             job = scheduler.submit(
                 api.SubmitRequest(tenant="t", spec=spec))
             await asyncio.wait_for(job.done.wait(), 30)
-            results = await scheduler.job_results(job.view.job_id)
+            results = json.loads(
+                await scheduler.job_results(job.view.job_id))
             assert results["state"] == api.JOB_DONE
             assert [c["cell_id"] for c in results["cells"]] == \
                 [cell.cell_id for cell in spec.cells]

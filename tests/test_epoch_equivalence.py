@@ -19,6 +19,11 @@ halves of that promise:
   calls ``write_data`` not at all, the two digest identically, and
   eager's in-flight root updates end on the same completion cycles (a
   writeback opens its window with no CPU stall);
+* PLP with a 2-way metadata cache evicts dirty ancestors and still
+  digests identically: no other test runs the epoch engine's PLP flush;
+* under write-through, baseline and BMF-ideal never flush, even from a
+  direct-mapped cache, and a dirty BMF-ideal victim (which cannot
+  happen) makes the epoch engine raise;
 * the persist-order sanitizer's seam patches make the run ineligible:
   ``engine="auto"`` silently takes the scalar loop and the sanitizer
   observes the exact same persist-event stream as an explicit scalar
@@ -41,14 +46,21 @@ import pytest
 
 from repro.analysis.sanitizer import attach_sanitizer
 from repro.cme.counters import MINOR_LIMIT
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.mem.trace import AccessType, MemoryAccess
 from repro.perf.harness import result_digest
+from repro.secure import SCHEMES as CONTROLLERS
 from repro.secure.base import SecureMemoryController
 from repro.sim import epoch
 from repro.sim.system import System
+from repro.workloads import make_workload
 
-from tests.conftest import random_trace, small_config, store_heavy_trace
+from tests.conftest import (
+    SMALL_CAPACITY,
+    random_trace,
+    small_config,
+    store_heavy_trace,
+)
 
 SCHEMES = ("baseline", "lazy", "eager", "plp", "bmf-ideal", "scue")
 
@@ -138,6 +150,57 @@ class TestEngineEquivalence:
         if scheme == "eager":
             assert scalar.controller._pending_root \
                 == batched.controller._pending_root
+
+
+    def test_plp_flushes_from_a_two_way_metadata_cache(self):
+        # PLP cleans its whole branch on every write; only a branch walk
+        # that evicts an ancestor it has just dirtied sends it through
+        # the epoch engine's flush_simple, and a 2-way cache does that.
+        trace = store_heavy_trace(400, seed=5)
+        results = [run_trace("plp", trace, engine, metadata_cache_size=1024,
+                             metadata_cache_ways=2).result("plp-2way")
+                   for engine in ("scalar", "epoch")]
+        assert results[0].stats["controller.metadata_cache.writebacks"] > 0
+        assert result_digest(results[0]) == result_digest(results[1])
+
+
+class TestWriteThroughNeverFlushes:
+    """Baseline and BMF-ideal cache only leaves, and write-through
+    persists each leaf as it is written, so no metadata-cache victim is
+    ever dirty: the epoch engine has no BMF-ideal flush to run."""
+
+    @pytest.mark.parametrize("workload", ("store-heavy", "btree"))
+    @pytest.mark.parametrize("scheme", ("baseline", "bmf-ideal"))
+    def test_direct_mapped_cache_evicts_only_clean_lines(
+            self, scheme, workload, monkeypatch):
+        flushes = []
+        cls = CONTROLLERS[scheme]
+        flush_node = cls._flush_node
+
+        def counting(ctl, node, cycle):
+            flushes.append(node)
+            return flush_node(ctl, node, cycle)
+
+        monkeypatch.setattr(cls, "_flush_node", counting)
+        trace = store_heavy_trace(600, seed=5) if workload == "store-heavy" \
+            else list(make_workload(workload, SMALL_CAPACITY, 400).trace())
+        systems = [run_trace(scheme, trace, engine, metadata_cache_size=256,
+                             metadata_cache_ways=1)
+                   for engine in ("scalar", "epoch")]
+        assert flushes == []
+        assert systems[0].controller.meta_cache.stats.evictions > 0
+        assert result_digest(systems[0].result(workload)) \
+            == result_digest(systems[1].result(workload))
+
+    def test_a_dirty_bmf_victim_raises(self):
+        trace = store_heavy_trace(600, seed=5)
+        system = build_system("bmf-ideal", "scalar", metadata_cache_size=256,
+                              metadata_cache_ways=1)
+        system.run(iter(trace[:100]))
+        for line in system.controller.meta_cache.resident_lines():
+            line.dirty = True
+        with pytest.raises(SimulationError, match="dirty BMF-ideal"):
+            epoch.EpochEngine(system).run(iter(trace[100:]))
 
 
 class TestSanitizerFallback:
