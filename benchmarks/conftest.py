@@ -10,16 +10,20 @@
 ``REPRO_BENCH_JOBS`` (default 1) shards the matrix across that many
 worker processes, and ``REPRO_BENCH_CAMPAIGN_DIR`` points the campaign
 engine at a result cache + manifest so an interrupted suite resumes
-instead of recomputing (docs/benchmarks.md).
+instead of recomputing (docs/benchmarks.md).  Without it, the session
+uses one temporary campaign directory.
 
 The Fig 9/10/§V-E experiments share one workload x scheme matrix; it is
 computed once per session and cached here so the suite doesn't re-run a
-multi-minute sweep three times.
+multi-minute sweep three times.  Figs 11 and 12 read two metrics of one
+hash sweep: Fig 12 takes Fig 11's cells from the session's result cache.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -46,21 +50,26 @@ def bench_scale() -> BenchScale:
 _MATRIX_CACHE: dict[str, object] = {}
 
 
-def _campaign_opts() -> dict:
-    opts: dict = {"jobs": int(os.environ.get("REPRO_BENCH_JOBS", "1"))}
-    campaign_dir = os.environ.get("REPRO_BENCH_CAMPAIGN_DIR")
-    if campaign_dir:
-        base = Path(campaign_dir)
-        opts["cache"] = base / "cache"
-        opts["manifest_path"] = base / "manifest.json"
-    return opts
+@functools.cache
+def _session_dir() -> tempfile.TemporaryDirectory:
+    """The session's campaign directory, removed at interpreter exit."""
+    return tempfile.TemporaryDirectory(prefix="repro-bench-")
+
+
+def campaign_opts() -> dict:
+    """Campaign-engine options every benchmark shares this session."""
+    base = Path(os.environ.get("REPRO_BENCH_CAMPAIGN_DIR")
+                or _session_dir().name)
+    return {"jobs": int(os.environ.get("REPRO_BENCH_JOBS", "1")),
+            "cache": base / "cache",
+            "manifest_path": base / "manifest.json"}
 
 
 def shared_matrix():
     """The Fig 9/10/§V-E matrix, computed once per session."""
     key = os.environ.get("REPRO_BENCH_SCALE", "default")
     if key not in _MATRIX_CACHE:
-        _MATRIX_CACHE[key] = run_matrix(bench_scale(), **_campaign_opts())
+        _MATRIX_CACHE[key] = run_matrix(bench_scale(), **campaign_opts())
     return _MATRIX_CACHE[key]
 
 

@@ -11,7 +11,7 @@ import os
 from repro.bench.figures import fig11_hash_sweep_write_latency, HASH_SWEEP
 from repro.bench.reporting import format_simple_table
 
-from benchmarks.conftest import bench_scale
+from benchmarks.conftest import bench_scale, campaign_opts
 
 #: The sweep is 4x the matrix cost; trim workloads below the full set.
 SWEEP_WORKLOADS = ("array", "hash", "queue", "rbtree", "mcf", "lbm",
@@ -21,7 +21,8 @@ SWEEP_WORKLOADS = ("array", "hash", "queue", "rbtree", "mcf", "lbm",
 def test_fig11_hash_sweep_write_latency(benchmark):
     scale = bench_scale()
     fig = benchmark.pedantic(
-        lambda: fig11_hash_sweep_write_latency(scale, SWEEP_WORKLOADS),
+        lambda: fig11_hash_sweep_write_latency(scale, SWEEP_WORKLOADS,
+                                               **campaign_opts()),
         rounds=1, iterations=1)
     rows = [[lat] + [f"{fig.table[lat][w]:.3f}" for w in SWEEP_WORKLOADS]
             + [f"{fig.average(lat):.3f}"]

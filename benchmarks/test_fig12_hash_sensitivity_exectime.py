@@ -8,14 +8,15 @@ write latency because reads and compute dilute the single write-path hash.
 from repro.bench.figures import fig12_hash_sweep_execution_time, HASH_SWEEP
 from repro.bench.reporting import format_simple_table
 
-from benchmarks.conftest import bench_scale
+from benchmarks.conftest import bench_scale, campaign_opts
 from benchmarks.test_fig11_hash_sensitivity_latency import SWEEP_WORKLOADS
 
 
 def test_fig12_hash_sweep_execution_time(benchmark):
     scale = bench_scale()
     fig = benchmark.pedantic(
-        lambda: fig12_hash_sweep_execution_time(scale, SWEEP_WORKLOADS),
+        lambda: fig12_hash_sweep_execution_time(scale, SWEEP_WORKLOADS,
+                                                **campaign_opts()),
         rounds=1, iterations=1)
     rows = [[lat] + [f"{fig.table[lat][w]:.3f}" for w in SWEEP_WORKLOADS]
             + [f"{fig.average(lat):.3f}"]

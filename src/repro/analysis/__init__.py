@@ -20,13 +20,12 @@ persist domain it models, instead of relying on eyeballs:
   persist-order trace, and checks at every simulated crash point that
   metadata persists obey the scheme's declared ordering rules.
 
-Runs are incremental (content-hash cache, optional process-pool
-front-end) and export SARIF 2.1.0 for code scanning
-(:mod:`repro.analysis.sarif`).
+Each lint run is one pass over the whole tree and can export SARIF
+2.1.0 for code scanning (:mod:`repro.analysis.sarif`).
 
 Run the lint from the command line::
 
-    python -m repro.analysis --strict --sarif out.sarif --jobs 4
+    python -m repro.analysis --strict --sarif out.sarif
 
 and attach the sanitizer inside tests with::
 
@@ -34,8 +33,6 @@ and attach the sanitizer inside tests with::
     sanitizer = attach_sanitizer(controller)
 """
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.callgraph import ProjectIndex
 from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.dataflow import ForwardAnalysis
@@ -45,8 +42,6 @@ from repro.analysis.sanitizer import PersistOrderSanitizer, attach_sanitizer
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisCache",
-    "Baseline",
     "CFG",
     "ForwardAnalysis",
     "Linter",

@@ -3,34 +3,19 @@
 ::
 
     python -m repro.analysis                   # lint src/repro, text out
-    python -m repro.analysis --strict          # also fail on stale
-                                               # baseline entries
+    python -m repro.analysis --strict          # the CI gate
     python -m repro.analysis --format json     # machine-readable
     python -m repro.analysis --sarif out.sarif # SARIF 2.1.0 log for
                                                # code scanning
-    python -m repro.analysis --jobs 4          # parallel flat phase
-    python -m repro.analysis --changed-only    # report only findings in
-                                               # files changed vs --base
-    python -m repro.analysis --write-baseline  # accept current findings
-    python -m repro.analysis --update-baseline # regenerate + report diff
+    python -m repro.analysis --select RPL004   # run only this rule
     python -m repro.analysis --list-rules      # what is enforced & why
 
-``--changed-only`` keeps the *analysis* whole-tree (the project phase —
-call graphs, protocol obligations, atomicity — is only sound over the
-full package, and the warm incremental cache makes that cheap) and
-filters the *report* to files that differ from ``--base`` (default
-``HEAD``): committed, staged, unstaged and untracked changes all
-count.  That is the pre-commit shape — sub-second warm, and a finding
-in an unchanged file never blocks an unrelated commit.
-
-Exit code 0 means every finding is either absent or explicitly
-baselined; 1 means new violations (or, under ``--strict``, a stale
-baseline).  Designed to run in CI next to the test suite.
-
-Repeat runs are incremental: per-file results are cached by content
-hash in ``.repro-analysis-cache.json`` at the repo root (disable with
-``--no-cache``; automatically off while ``--select`` or multiple scan
-roots are active).
+Every run is one pass over the whole tree: the project rules (call
+graphs, persist protocols, await-atomicity) are only sound over the
+full package.  Exit code 0 means no finding, 1 means at least one
+violation, 2 a usage or I/O error.  An accepted finding carries an
+inline ``# reprolint: disable=<rule>`` comment.  Designed to run in CI
+next to the test suite.
 """
 
 from __future__ import annotations
@@ -41,14 +26,9 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.analysis.baseline import Baseline
-from repro.analysis.cache import AnalysisCache
 from repro.analysis.lint import Linter
 from repro.analysis.report import LintReport, rules_text
 from repro.errors import ConfigError
-
-BASELINE_NAME = "analysis-baseline.txt"
-CACHE_NAME = ".repro-analysis-cache.json"
 
 
 def default_scan_root() -> Path:
@@ -58,7 +38,7 @@ def default_scan_root() -> Path:
 
 def find_repo_root(start: Path) -> Path | None:
     """Nearest ancestor carrying a ``pyproject.toml`` (the checkout
-    root, where the baseline file lives)."""
+    root, which SARIF URIs resolve from)."""
     for candidate in (start, *start.parents):
         if (candidate / "pyproject.toml").is_file():
             return candidate
@@ -74,38 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="files or directories to lint "
                              "(default: the repro package)")
     parser.add_argument("--strict", action="store_true",
-                        help="also fail when the baseline has stale "
-                             "entries")
+                        help="accepted for compatibility: every run "
+                             "fails on any finding")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text")
     parser.add_argument("--sarif", type=Path, default=None,
                         metavar="PATH",
                         help="also write a SARIF 2.1.0 log to PATH")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="lint files with N worker processes "
-                             "(default: 1)")
-    parser.add_argument("--baseline", type=Path, default=None,
-                        help=f"baseline file (default: {BASELINE_NAME} "
-                             "next to pyproject.toml)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept all current findings into the "
-                             "baseline file and exit 0")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="regenerate the baseline file and report "
-                             "what changed (idempotent: an unchanged "
-                             "tree rewrites it byte-identically)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the incremental result cache")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="report only findings in files that "
-                             "differ from --base (git diff + "
-                             "untracked); the analysis itself stays "
-                             "whole-tree so project rules remain sound")
-    parser.add_argument("--base", default="HEAD", metavar="REF",
-                        help="git ref --changed-only diffs against "
-                             "(default: HEAD)")
     parser.add_argument("--select", action="append", default=None,
                         metavar="RULE",
                         help="run only this rule (repeatable; name or "
@@ -113,67 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list-rules", action="store_true",
                         help="describe every rule and exit")
     return parser
-
-
-def resolve_baseline_path(args: argparse.Namespace,
-                          scan_root: Path) -> Path | None:
-    if args.no_baseline:
-        return None
-    if args.baseline is not None:
-        return args.baseline
-    repo_root = find_repo_root(scan_root)
-    if repo_root is None:
-        return None
-    return repo_root / BASELINE_NAME
-
-
-def _resolve_cache(args: argparse.Namespace,
-                   scan_root: Path) -> AnalysisCache | None:
-    """The cache is keyed to the default whole-package scan: explicit
-    scan roots or an active rule selection would cross-contaminate it
-    (saving a run over a different tree prunes everyone else's
-    entries), so those runs go cold."""
-    if args.no_cache or args.select is not None or args.paths:
-        return None
-    repo_root = find_repo_root(scan_root)
-    if repo_root is None:
-        return None
-    return AnalysisCache(repo_root / CACHE_NAME)
-
-
-def changed_files(repo_root: Path, base: str) -> set[str] | None:
-    """Repo-root-relative posix paths that differ from ``base``:
-    committed/staged/unstaged changes (``git diff base``) plus
-    untracked files.  ``None`` when git is unavailable or ``base``
-    does not resolve."""
-    import subprocess
-
-    changed: set[str] = set()
-    for cmd in (["git", "diff", "--name-only", base, "--"],
-                ["git", "ls-files", "--others", "--exclude-standard"]):
-        try:
-            proc = subprocess.run(
-                cmd, cwd=repo_root, capture_output=True, text=True,
-                check=True, timeout=30)
-        except (OSError, subprocess.SubprocessError):
-            return None
-        changed.update(line.strip() for line in
-                       proc.stdout.splitlines() if line.strip())
-    return changed
-
-
-def _filter_changed(violations, scan_root: Path,
-                    changed: set[str]) -> list:
-    """Keep violations whose file differs from the base ref.  Violation
-    paths are scan-root-relative; the changed set is repo-root-relative
-    — rebase via the scan root's position in the checkout."""
-    prefix = _sarif_uri_prefix(scan_root)
-    keep = []
-    for violation in violations:
-        full = f"{prefix}/{violation.path}" if prefix else violation.path
-        if full in changed:
-            keep.append(violation)
-    return keep
 
 
 def _sarif_uri_prefix(scan_root: Path) -> str:
@@ -200,27 +94,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"no such file or directory: {path}", file=sys.stderr)
             return 2
 
-    scan_root = args.paths[0] if args.paths else default_scan_root()
-    cache = _resolve_cache(args, Path(scan_root))
+    roots = args.paths or [default_scan_root()]
+    report = LintReport()
     try:
-        linter = Linter(scan_root, select=args.select, cache=cache,
-                        jobs=args.jobs)
+        # Relpaths are computed per root.
+        for root in roots:
+            linter = Linter(root, select=args.select)
+            files = list(linter.iter_files())
+            report.files_checked += len(files)
+            report.violations.extend(linter.run(files))
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    files: list[Path] = []
-    try:
-        if args.paths and len(args.paths) > 1:
-            # Multiple roots: lint each, relpaths computed per root.
-            violations = []
-            for root in args.paths:
-                sub = Linter(root, select=args.select, jobs=args.jobs)
-                sub_files = list(sub.iter_files())
-                files.extend(sub_files)
-                violations.extend(sub.run(sub_files))
-        else:
-            files = list(linter.iter_files())
-            violations = linter.run(files)
     except SyntaxError as exc:
         print(f"cannot lint {exc.filename}:{exc.lineno}: {exc.msg}",
               file=sys.stderr)
@@ -229,69 +114,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"cannot lint: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = resolve_baseline_path(args, Path(scan_root))
-    if args.write_baseline or args.update_baseline:
-        if baseline_path is None:
-            print("no baseline location found (need pyproject.toml or "
-                  "--baseline)", file=sys.stderr)
-            return 2
-        fresh = Baseline.from_violations(violations)
-        if args.update_baseline:
-            old = Baseline.load(baseline_path) \
-                if baseline_path.is_file() else Baseline()
-            old_keys = {(e.rule, e.path, e.fingerprint)
-                        for e in old.entries}
-            new_keys = {(e.rule, e.path, e.fingerprint)
-                        for e in fresh.entries}
-            added = len(new_keys - old_keys)
-            removed = len(old_keys - new_keys)
-            fresh.save(baseline_path)
-            print(f"baseline updated: {len(fresh.entries)} entr(ies) "
-                  f"(+{added} added, -{removed} removed) at "
-                  f"{baseline_path}")
-        else:
-            fresh.save(baseline_path)
-            print(f"wrote {len(violations)} entr(ies) to "
-                  f"{baseline_path}")
-        return 0
-
-    report = LintReport(files_checked=len(files))
-    if linter.cache_stats is not None:
-        report.cache_note = linter.cache_stats.describe()
-    if baseline_path is not None and baseline_path.is_file():
-        new, baselined, stale = \
-            Baseline.load(baseline_path).split(violations)
-        report.violations = new
-        report.baselined = baselined
-        report.stale_baseline = stale
-    else:
-        report.violations = violations
-
-    if args.changed_only:
-        repo_root = find_repo_root(Path(scan_root).resolve())
-        if repo_root is None:
-            print("--changed-only: no repo root (pyproject.toml) "
-                  "found", file=sys.stderr)
-            return 2
-        changed = changed_files(repo_root, args.base)
-        if changed is None:
-            print(f"--changed-only: git diff against {args.base!r} "
-                  "failed (not a checkout, or unknown ref)",
-                  file=sys.stderr)
-            return 2
-        report.violations = _filter_changed(
-            report.violations, Path(scan_root), changed)
-
     if args.sarif is not None:
         from repro.analysis.sarif import to_sarif
-        log = to_sarif(report, uri_prefix=_sarif_uri_prefix(scan_root))
+        log = to_sarif(report, uri_prefix=_sarif_uri_prefix(roots[0]))
         args.sarif.write_text(json.dumps(log, indent=2) + "\n")
 
     if args.format == "json":
         print(report.as_json())
     else:
         print(report.as_text())
-    return report.exit_code(strict=args.strict)
+    return report.exit_code()
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -19,8 +19,8 @@ from repro.analysis.explorer.seams import (   # noqa: F401
 )
 
 _LAZY = {
-    "ExplorationRecorder": "record",
     "PersistEvent": "record",
+    "PersistRecorder": "record",
     "Recording": "record",
     "materialization_factory": "record",
     "record_system_run": "record",

@@ -1,18 +1,26 @@
-"""Persist-event capture for the crash-state explorer.
+"""Persist-event capture for the crash-state explorer and the
+persist-order sanitizer.
 
-:class:`ExplorationRecorder` attaches to a live controller the same way
-the PR-1 persist-order sanitizer does — saving the original bound
-methods and shadowing them with instance attributes — and records every
-event the crash model needs:
+:class:`PersistRecorder` is the one piece of code that instruments a
+live controller's persist seams (:mod:`.seams`).  It saves the original
+bound methods, shadows them with instance attributes, and hands every
+event to a single listener:
 
 * ``nvm.write_line`` — the durable payload of each line persist,
-* ``wpq.enqueue`` — queue admissions (kept for accounting; the ADR model
-  treats admission as persistence, so they carry no ordering weight),
-* ``running_root.add/set`` and ``recovery_root.add/set`` — the
-  register-file side of root crash consistency,
+* ``wpq.enqueue`` — queue admissions with their cycle and metadata
+  flag (the ADR model treats admission as persistence, so the explorer
+  gives them no ordering weight; the sanitizer's rules read them),
+* ``add``/``set`` of every register in ``EXPLORED_ROOT_REGISTERS`` —
+  the register-file side of root crash consistency,
 * ``write_data`` brackets (one store-side *operation*) and
   ``_flush_node`` brackets (one cache eviction), which become the
-  atomic persist units of the model.
+  atomic persist units of the model,
+* ``crash``, which runs an optional ``at_crash`` callback and then
+  leaves the recorder dormant: recovery-time traffic runs under a
+  different regime (peek/poke reconstruction).
+
+The explorer passes ``events.append`` and models the stream offline;
+the sanitizer passes its rule dispatch and checks it online.
 
 Data-line MAC/plaintext shadows are captured at *operation end*, not at
 ``write_line`` time: the minor-counter overflow path rewrites covered
@@ -26,6 +34,9 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.analysis.explorer.seams import (
+    EXPLORED_ROOT_REGISTERS, SEAM_METHODS,
+)
 from repro.mem.address import Region
 from repro.secure import make_controller
 
@@ -52,9 +63,10 @@ class PersistEvent:
 
     ``op``/``flush`` are bracket ids (or -1): which ``write_data``
     operation and which outermost ``_flush_node`` eviction the event
-    occurred inside.  ``data_mac``/``plaintext`` are the controller's
-    op-end shadows for DATA-region line writes, used to rebuild the
-    read-check state of a materialized crash image.
+    occurred inside.  ``cycle``/``metadata`` are an enqueue's
+    arguments.  ``data_mac``/``plaintext`` are the controller's op-end
+    shadows for DATA-region line writes, used to rebuild the read-check
+    state of a materialized crash image.
     """
 
     seq: int
@@ -66,8 +78,27 @@ class PersistEvent:
     value: int = 0
     op: int = -1
     flush: int = -1
+    cycle: int | None = None
+    metadata: bool = False
     data_mac: int | None = None
     plaintext: bytes | None = None
+
+    @property
+    def in_flush(self) -> bool:
+        """Inside a cache-eviction writeback, not a protocol persist."""
+        return self.flush >= 0
+
+    def describe(self) -> str:
+        if self.kind in (KIND_REG_ADD, KIND_REG_SET):
+            how = "+=" if self.kind == KIND_REG_ADD else "="
+            return (f"#{self.seq} root-update {self.register}"
+                    f"[{self.slot}] {how} {self.value}")
+        where = "flush" if self.in_flush else "protocol"
+        if self.kind == KIND_ENQUEUE:
+            kind = "metadata" if self.metadata else "data"
+            return (f"#{self.seq} enqueue {kind} line {self.addr:#x} "
+                    f"({where}) @cycle {self.cycle}")
+        return f"#{self.seq} write line {self.addr:#x} ({where})"
 
 
 @dataclass
@@ -86,15 +117,25 @@ class Recording:
     counter_bits: int = 56
 
 
-class ExplorationRecorder:
-    """Wraps a controller's persist seams (see :mod:`.seams`) and logs
-    :class:`PersistEvent` records until :meth:`detach`."""
+def root_registers(controller: Any) -> list[Any]:
+    """The controller's explored root registers, in name order."""
+    registers = (getattr(controller, name, None)
+                 for name in sorted(EXPLORED_ROOT_REGISTERS))
+    return [register for register in registers if register is not None]
 
-    def __init__(self, controller: Any) -> None:
+
+class PersistRecorder:
+    """Wraps a controller's persist seams and passes each
+    :class:`PersistEvent` to ``listener`` from :meth:`attach` until the
+    first ``crash`` or :meth:`detach`."""
+
+    def __init__(self, controller: Any,
+                 listener: Callable[[PersistEvent], None],
+                 at_crash: Callable[[], None] | None = None) -> None:
         self.controller = controller
-        self.events: list[PersistEvent] = []
-        self.baseline_lines: dict[int, bytes] = {}
-        self.baseline_roots: dict[str, list[int]] = {}
+        self.listener = listener
+        self.at_crash = at_crash
+        self.active = False
         self._originals: list[tuple[Any, str, Any]] = []
         self._seq = 0
         self._op = -1
@@ -105,57 +146,60 @@ class ExplorationRecorder:
         self._flush_depth = 0
 
     # ------------------------------------------------------------------
-    def attach(self) -> None:
+    def attach(self) -> "PersistRecorder":
         ctl = self.controller
         if self._originals:
             raise RuntimeError("recorder already attached")
-        self.baseline_lines = dict(ctl.nvm._lines)
-        self.baseline_roots = {"running_root": ctl.running_root.snapshot()}
-        recovery = getattr(ctl, "recovery_root", None)
-        if recovery is not None:
-            self.baseline_roots["recovery_root"] = recovery.snapshot()
-
-        self._wrap(ctl, "write_data", self._make_write_data)
-        self._wrap(ctl, "_flush_node", self._make_flush_node)
-        self._wrap(ctl.wpq, "enqueue", self._make_enqueue)
-        self._wrap(ctl.nvm, "write_line", self._make_write_line)
-        self._wrap_register(ctl.running_root)
-        if recovery is not None:
-            self._wrap_register(recovery)
+        makers = {
+            "write_data": self._make_write_data,
+            "_flush_node": self._make_flush_node,
+            "wpq.enqueue": self._make_enqueue,
+            "nvm.write_line": self._make_write_line,
+            "crash": self._make_crash,
+        }
+        for seam in SEAM_METHODS:
+            owner, _, attr = seam.rpartition(".")
+            self._wrap(getattr(ctl, owner) if owner else ctl, attr,
+                       makers[seam])
+        for register in root_registers(ctl):
+            self._wrap(register, "add",
+                       self._make_register(register.name, KIND_REG_ADD))
+            self._wrap(register, "set",
+                       self._make_register(register.name, KIND_REG_SET))
+        self.active = True
+        return self
 
     def detach(self) -> None:
-        for obj, attr, original in reversed(self._originals):
-            setattr(obj, attr, original)
+        for obj, attr, shadowed in reversed(self._originals):
+            if shadowed is None:
+                delattr(obj, attr)
+            else:
+                setattr(obj, attr, shadowed)
         self._originals.clear()
+        self.active = False
 
     # ------------------------------------------------------------------
     def _wrap(self, obj: Any, attr: str, maker: Callable[[Any], Any]) -> None:
-        original = getattr(obj, attr)
-        self._originals.append((obj, attr, original))
-        setattr(obj, attr, maker(original))
+        """Shadow ``obj.attr``; :meth:`detach` restores whatever the
+        instance held before (usually nothing: the class method)."""
+        self._originals.append((obj, attr, vars(obj).get(attr)))
+        setattr(obj, attr, maker(getattr(obj, attr)))
 
-    def _wrap_register(self, register: Any) -> None:
-        name = register.name
-        orig_add = register.add
-        orig_set = register.set
-        self._originals.append((register, "add", orig_add))
-        self._originals.append((register, "set", orig_set))
-
-        def add(slot: int, delta: int = 1) -> None:
-            self._record(KIND_REG_ADD, register=name, slot=slot, value=delta)
-            return orig_add(slot, delta)
-
-        def set_(slot: int, value: int) -> None:
-            self._record(KIND_REG_SET, register=name, slot=slot, value=value)
-            return orig_set(slot, value)
-
-        register.add = add
-        register.set = set_
+    def _make_register(self, name: str, kind: str) -> Callable:
+        def maker(original: Callable) -> Callable:
+            # ``add``'s delta defaults to 1; ``set`` always passes one.
+            def update(slot: int, value: int = 1) -> None:
+                if self.active:
+                    self._record(kind, register=name, slot=slot,
+                                 value=value)
+                return original(slot, value)
+            return update
+        return maker
 
     def _make_write_data(self, original: Callable) -> Callable:
         def write_data(addr: int, data: bytes | None, cycle: int,
                        persist: bool = True):
-            fresh = self._op < 0
+            fresh = self.active and self._op < 0
             if fresh:
                 self._op = self._next_op
                 self._next_op += 1
@@ -194,38 +238,36 @@ class ExplorationRecorder:
 
     def _make_enqueue(self, original: Callable) -> Callable:
         def enqueue(addr: int, cycle: int, metadata: bool = False):
-            self._record(KIND_ENQUEUE, addr=addr)
+            if self.active:
+                self._record(KIND_ENQUEUE, addr=addr, cycle=cycle,
+                             metadata=metadata)
             return original(addr, cycle, metadata=metadata)
         return enqueue
 
     def _make_write_line(self, original: Callable) -> Callable:
         def write_line(line_addr: int, data: bytes):
-            self._record(KIND_LINE, addr=line_addr, payload=bytes(data))
+            if self.active:
+                self._record(KIND_LINE, addr=line_addr,
+                             payload=bytes(data))
             return original(line_addr, data)
         return write_line
 
-    def _record(self, kind: str, **fields_: Any) -> PersistEvent:
+    def _make_crash(self, original: Callable) -> Callable:
+        def crash():
+            if self.active:
+                if self.at_crash is not None:
+                    self.at_crash()
+                self.active = False
+            return original()
+        return crash
+
+    def _record(self, kind: str, **fields_: Any) -> None:
         event = PersistEvent(seq=self._seq, kind=kind, op=self._op,
                              flush=self._flush, **fields_)
         self._seq += 1
-        self.events.append(event)
         if self._op >= 0:
             self._op_events.append(event)
-        return event
-
-    # ------------------------------------------------------------------
-    def recording(self, config: Any,
-                  factory: Callable[[], Any] | None = None) -> Recording:
-        amap = self.controller.amap
-        return Recording(
-            scheme=self.controller.name,
-            events=self.events,
-            baseline_lines=self.baseline_lines,
-            baseline_roots=self.baseline_roots,
-            config=config,
-            factory=factory or materialization_factory(config),
-            counter_bits=amap.counter_bits,
-        )
+        self.listener(event)
 
 
 def materialization_factory(config: Any) -> Callable[[], Any]:
@@ -243,6 +285,31 @@ def materialization_factory(config: Any) -> Callable[[], Any]:
 
 
 # ----------------------------------------------------------------------
+def _record_run(controller: Any, config: Any,
+                factory: Callable[[], Any] | None,
+                drive: Callable[[], None]) -> Recording:
+    """Snapshot the pre-run NVM image and root registers, then record
+    every persist event ``drive`` causes."""
+    events: list[PersistEvent] = []
+    baseline_lines = dict(controller.nvm._lines)
+    baseline_roots = {register.name: register.snapshot()
+                      for register in root_registers(controller)}
+    recorder = PersistRecorder(controller, events.append).attach()
+    try:
+        drive()
+    finally:
+        recorder.detach()
+    return Recording(
+        scheme=controller.name,
+        events=events,
+        baseline_lines=baseline_lines,
+        baseline_roots=baseline_roots,
+        config=config,
+        factory=factory or materialization_factory(config),
+        counter_bits=controller.amap.counter_bits,
+    )
+
+
 def record_writes(config: Any, line_addrs: Sequence[int],
                   factory: Callable[[], Any] | None = None,
                   *, start_cycle: int = 1_000,
@@ -257,27 +324,22 @@ def record_writes(config: Any, line_addrs: Sequence[int],
     """
     make = factory or materialization_factory(config)
     controller = make()
-    recorder = ExplorationRecorder(controller)
-    recorder.attach()
-    try:
+
+    def drive() -> None:
         cycle = start_cycle
         for addr in line_addrs:
             controller.write_data(addr, None, cycle, persist=True)
             cycle += gap
         controller.tick(cycle + _SETTLE)
-    finally:
-        recorder.detach()
-    return recorder.recording(config, make)
+
+    return _record_run(controller, config, make, drive)
 
 
 def record_system_run(system: Any, trace: Iterable[Any],
                       factory: Callable[[], Any] | None = None) -> Recording:
     """Record a full :class:`repro.sim.system.System` workload run."""
-    recorder = ExplorationRecorder(system.controller)
-    recorder.attach()
-    try:
+    def drive() -> None:
         system.run(trace)
         system.controller.tick(system.cycle + _SETTLE)
-    finally:
-        recorder.detach()
-    return recorder.recording(system.config, factory)
+
+    return _record_run(system.controller, system.config, factory, drive)

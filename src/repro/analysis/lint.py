@@ -14,12 +14,7 @@ Two kinds of checks coexist:
 
 Both kinds produce the same :class:`~repro.analysis.rules.Violation`
 records, honour the same ``# reprolint: disable=<rule>`` suppression
-comments and share the fingerprint baseline unchanged.
-
-The front-end is incremental: flat results are cached per file by
-content hash, project results by a whole-tree digest (see
-:mod:`repro.analysis.cache`), and cache misses can be fanned out over a
-process pool (``jobs > 1``).
+comments and carry the same line-independent fingerprint.
 """
 
 from __future__ import annotations
@@ -32,12 +27,6 @@ from pathlib import Path
 from repro.analysis.atomicity import (
     check_await_atomicity,
     check_blocking_calls,
-)
-from repro.analysis.cache import (
-    AnalysisCache,
-    CacheStats,
-    file_sha,
-    project_digest,
 )
 from repro.analysis.callgraph import FunctionInfo, ProjectIndex
 from repro.analysis.dataflow import Facts, ForwardAnalysis
@@ -52,10 +41,9 @@ _FIXTURE_PATH_RE = re.compile(r"#\s*reprolint-fixture-path:\s*(\S+)")
 class ParsedModule:
     """One source file, parsed once and shared by every rule."""
 
-    def __init__(self, path: Path, relpath: str,
-                 source: str | None = None) -> None:
+    def __init__(self, path: Path, relpath: str) -> None:
         self.path = path
-        self.source = path.read_text() if source is None else source
+        self.source = path.read_text()
         self.lines = self.source.splitlines()
         self.tree = ast.parse(self.source, filename=str(path))
         self.relpath = relpath
@@ -906,55 +894,18 @@ if _IMPLEMENTED != {r.name for r in ALL_RULES}:
     raise RuntimeError("lint rule registry out of sync with rules.py")
 
 
-def _run_flat_rules(mod: ParsedModule,
-                    wanted: set[str] | None) -> list[Violation]:
-    violations: list[Violation] = []
-    for cls in _FLAT_RULE_CLASSES:
-        if wanted is not None and cls.name not in wanted:
-            continue
-        rule = cls()
-        if not rule.applies(mod.relpath):
-            continue
-        for violation in rule.check(mod):
-            if not mod.suppressed(violation.line, rule.name):
-                violations.append(violation)
-    return violations
-
-
-def _flat_worker(job: tuple[str, str, tuple[str, ...] | None]
-                 ) -> list[dict]:
-    """Process-pool entry: lint one file with the flat rules."""
-    path_str, relpath, selected = job
-    wanted = set(selected) if selected is not None else None
-    mod = ParsedModule(Path(path_str), relpath)
-    return [v.as_dict() for v in _run_flat_rules(mod, wanted)]
-
-
-def _violation_from_dict(data: dict) -> Violation:
-    return Violation(rule=get_rule(data["rule"]), path=data["path"],
-                     line=data["line"], column=data["column"],
-                     message=data["message"], snippet=data["snippet"])
-
-
 class Linter:
     """Walk a tree of Python files and run every (selected) rule.
 
-    ``cache`` (an :class:`~repro.analysis.cache.AnalysisCache`) makes
-    repeat runs incremental; it is bypassed while a rule selection is
-    active.  ``jobs > 1`` fans the flat per-file phase out over a
-    process pool; the project phase is one shared pass either way.
+    Each file is parsed once; the flat rules run module by module, then
+    the project rules run once over the whole tree.
     """
 
     def __init__(self, root: Path,
-                 select: Iterable[str] | None = None,
-                 cache: AnalysisCache | None = None,
-                 jobs: int = 1) -> None:
+                 select: Iterable[str] | None = None) -> None:
         self.root = Path(root)
         self._wanted: set[str] | None = None if select is None else {
             get_rule(token).name for token in select}
-        self.cache = cache if select is None else None
-        self.jobs = max(1, int(jobs))
-        self.cache_stats: CacheStats | None = None
 
     def iter_files(self) -> Iterator[Path]:
         if self.root.is_file():
@@ -971,96 +922,32 @@ class Linter:
         except ValueError:
             return path.name
 
-    # ------------------------------------------------------------------
-    def _project_rules(self) -> list[ProjectRule]:
-        return [cls() for cls in _PROJECT_RULE_CLASSES
+    def _selected(self, classes):
+        return [cls() for cls in classes
                 if self._wanted is None or cls.name in self._wanted]
 
     def run(self, files: Iterable[Path] | None = None) -> list[Violation]:
-        paths = [Path(p) for p in
-                 (files if files is not None else self.iter_files())]
-        entries: list[tuple[Path, str, bytes, str]] = []
-        for path in paths:
-            data = path.read_bytes()
-            entries.append((path, self.relpath_of(path), data,
-                            file_sha(data)))
-        cache = self.cache
-        stats = cache.stats if cache is not None else CacheStats()
-        stats.files_total = len(entries)
-
-        mods: dict[str, ParsedModule] = {}
-
-        def parse(path: Path, relpath: str, data: bytes) -> ParsedModule:
-            mod = ParsedModule(path, relpath, source=data.decode())
-            mods[mod.relpath] = mod
-            return mod
-
-        # -- flat phase -------------------------------------------------
-        flat: list[Violation] = []
-        misses: list[tuple[Path, str, bytes, str]] = []
-        for path, relpath, data, sha in entries:
-            hit = cache.get_file(relpath, sha) if cache else None
-            if hit is not None:
-                stats.files_hit += 1
-                flat.extend(hit)
-            else:
-                misses.append((path, relpath, data, sha))
-        if self.jobs > 1 and len(misses) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-            jobs = [(str(path), relpath,
-                     tuple(self._wanted) if self._wanted else None)
-                    for path, relpath, _, _ in misses]
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                results = list(pool.map(_flat_worker, jobs))
-            for (path, relpath, data, sha), dicts in zip(misses, results):
-                violations = [_violation_from_dict(d) for d in dicts]
-                flat.extend(violations)
-                if cache:
-                    cache.put_file(relpath, sha, violations)
-        else:
-            for path, relpath, data, sha in misses:
-                mod = parse(path, relpath, data)
-                violations = _run_flat_rules(mod, self._wanted)
-                flat.extend(violations)
-                if cache:
-                    cache.put_file(relpath, sha, violations)
-
-        # -- project phase ----------------------------------------------
-        project: list[Violation] = []
-        project_rules = self._project_rules()
-        if project_rules and entries:
-            digest = project_digest([(relpath, sha)
-                                     for _, relpath, _, sha in entries])
-            cached = cache.get_project(digest) if cache else None
-            if cached is not None:
-                stats.project_hit = True
-                project = cached
-            else:
-                stats.project_ran = True
-                ordered: list[ParsedModule] = []
-                for path, relpath, data, _ in entries:
-                    mod = mods.get(relpath)
-                    if mod is None or mod.path != path:
-                        mod = parse(path, relpath, data)
-                    ordered.append(mod)
-                index = ProjectIndex([(m.relpath, m.tree)
-                                      for m in ordered])
-                by_pin = {m.relpath: m for m in ordered}
-                for rule in project_rules:
-                    for violation in rule.check_project(ordered, index):
-                        mod = by_pin.get(violation.path)
-                        if mod is not None and \
-                                mod.suppressed(violation.line, rule.name):
-                            continue
-                        project.append(violation)
-                if cache:
-                    cache.put_project(digest, project)
-
-        if cache:
-            cache.prune({relpath for _, relpath, _, _ in entries})
-            cache.save()
-        self.cache_stats = stats if cache else None
-
-        violations = flat + project
+        paths = files if files is not None else self.iter_files()
+        mods = [ParsedModule(Path(path), self.relpath_of(Path(path)))
+                for path in paths]
+        violations: list[Violation] = []
+        flat_rules = self._selected(_FLAT_RULE_CLASSES)
+        for mod in mods:
+            for rule in flat_rules:
+                if not rule.applies(mod.relpath):
+                    continue
+                violations.extend(
+                    violation for violation in rule.check(mod)
+                    if not mod.suppressed(violation.line, rule.name))
+        project_rules = self._selected(_PROJECT_RULE_CLASSES)
+        if project_rules and mods:
+            index = ProjectIndex([(m.relpath, m.tree) for m in mods])
+            by_path = {m.relpath: m for m in mods}
+            for rule in project_rules:
+                for violation in rule.check_project(mods, index):
+                    mod = by_path.get(violation.path)
+                    if mod is None or \
+                            not mod.suppressed(violation.line, rule.name):
+                        violations.append(violation)
         violations.sort(key=lambda v: (v.path, v.line, v.rule.id))
         return violations

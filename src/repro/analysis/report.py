@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.analysis.baseline import BaselineEntry
 from repro.analysis.rules import ALL_RULES, Violation
 
 
@@ -14,25 +13,15 @@ class LintReport:
     """Everything one lint run produced, ready to render."""
 
     violations: list[Violation] = field(default_factory=list)
-    baselined: list[Violation] = field(default_factory=list)
-    stale_baseline: list[BaselineEntry] = field(default_factory=list)
     files_checked: int = 0
-    #: One-line incremental-cache summary (CacheStats.describe()), or
-    #: empty when caching was disabled for this run.
-    cache_note: str = ""
 
     @property
     def clean(self) -> bool:
         return not self.violations
 
-    def exit_code(self, strict: bool = False) -> int:
-        """Gate: new violations always fail; under ``--strict`` stale
-        baseline entries fail too (the baseline must stay honest)."""
-        if self.violations:
-            return 1
-        if strict and self.stale_baseline:
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        """Gate: any violation fails the run."""
+        return 1 if self.violations else 0
 
     # ------------------------------------------------------------------
     def as_text(self) -> str:
@@ -41,20 +30,9 @@ class LintReport:
             lines.append(violation.format())
             if violation.snippet:
                 lines.append(f"    {violation.snippet}")
-        if self.stale_baseline:
-            lines.append("")
-            lines.append("stale baseline entries (violation no longer "
-                         "present — regenerate with --write-baseline):")
-            for entry in self.stale_baseline:
-                lines.append(f"    {entry.format()}")
         lines.append("")
-        lines.append(
-            f"{len(self.violations)} violation(s), "
-            f"{len(self.baselined)} baselined, "
-            f"{len(self.stale_baseline)} stale baseline entr(ies) in "
-            f"{self.files_checked} file(s)")
-        if self.cache_note:
-            lines.append(self.cache_note)
+        lines.append(f"{len(self.violations)} violation(s) in "
+                     f"{self.files_checked} file(s)")
         return "\n".join(lines)
 
     def as_json(self) -> str:
@@ -65,13 +43,7 @@ class LintReport:
         return json.dumps({
             "clean": self.clean,
             "files_checked": self.files_checked,
-            "cache": self.cache_note or None,
             "violations": [v.as_dict() for v in self.violations],
-            "baselined": [v.as_dict() for v in self.baselined],
-            "stale_baseline": [
-                {"rule": e.rule, "path": e.path, "line": e.line,
-                 "fingerprint": e.fingerprint}
-                for e in self.stale_baseline],
             "by_rule": by_rule,
         }, indent=2)
 

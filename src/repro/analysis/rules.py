@@ -2,7 +2,7 @@
 CLI.
 
 Every rule has a stable short ``name`` (the token used in suppression
-comments and the baseline file), an ``id`` for terse grep-able output,
+comments), an ``id`` for terse grep-able output,
 a one-line ``summary`` and a ``rationale`` tying it back to the paper —
 rules exist to protect a modelling invariant, not a style preference.
 """
@@ -192,7 +192,7 @@ def get_rule(name_or_id: str) -> RuleInfo:
 
 @dataclass(frozen=True)
 class Violation:
-    """One lint finding, locatable and stable enough to baseline."""
+    """One lint finding, locatable and stable across unrelated edits."""
 
     rule: RuleInfo
     path: str          # posix-style path relative to the scan root
@@ -203,9 +203,9 @@ class Violation:
 
     @property
     def fingerprint(self) -> str:
-        """Line-number-independent identity used for baseline matching:
-        a violation keeps its fingerprint when unrelated edits shift it
-        up or down the file."""
+        """Line-number-independent identity (SARIF's
+        ``partialFingerprints``): a violation keeps its fingerprint when
+        unrelated edits shift it up or down the file."""
         digest = hashlib.sha256(
             f"{self.rule.name}|{self.path}|{self.snippet}".encode())
         return digest.hexdigest()[:12]

@@ -1,9 +1,11 @@
 """WITCHER-style runtime crash-consistency sanitizer.
 
-The sanitizer instruments a live :class:`SecureMemoryController`: it
-wraps the WPQ's ``enqueue`` (the simulator's definition of *persisted*
-under ADR), the NVM device's counted ``write_line``, the scheme's root
-registers and the eviction-flush hook, records a persist-order trace,
+The sanitizer instruments a live :class:`SecureMemoryController`
+through the crash-state explorer's
+:class:`~repro.analysis.explorer.record.PersistRecorder`: the WPQ's
+``enqueue`` (the simulator's definition of *persisted* under ADR), the
+NVM device's counted ``write_line``, the scheme's root registers and
+the eviction-flush hook.  It keeps a window of the persist-order trace
 and checks — online at every persist and again at every simulated
 crash point — that security-metadata persists obey the scheme's
 *declared* ordering rules.  A violation raises
@@ -38,38 +40,15 @@ order is the cache's choice, not the scheme's persist discipline.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from repro.analysis.explorer.record import (
+    KIND_ENQUEUE, KIND_LINE, KIND_REG_ADD, PersistEvent, PersistRecorder,
+)
 from repro.errors import PersistOrderingError
 from repro.mem.address import Region
 
 #: Recent-event window kept for violation messages.
 TRACE_WINDOW = 64
-
-
-@dataclass(frozen=True)
-class PersistEvent:
-    """One observed persist-domain event."""
-
-    seq: int
-    kind: str          # "enqueue" | "write" | "root"
-    addr: int | None   # line address (enqueue/write)
-    cycle: int | None  # simulated cycle for enqueues
-    metadata: bool = False
-    in_flush: bool = False
-    register: str = ""  # root-register name for kind == "root"
-    slot: int | None = None
-    delta: int | None = None
-
-    def describe(self) -> str:
-        if self.kind == "root":
-            return (f"#{self.seq} root-update {self.register}"
-                    f"[{self.slot}] += {self.delta}")
-        where = "flush" if self.in_flush else "protocol"
-        kind = "metadata" if self.metadata else "data"
-        cycle = f" @cycle {self.cycle}" if self.cycle is not None else ""
-        return (f"#{self.seq} {self.kind} {kind} line "
-                f"{self.addr:#x} ({where}){cycle}")
 
 
 class SanitizerRule:
@@ -100,10 +79,10 @@ class AttributablePersistRule(SanitizerRule):
         self._pending: dict[int, int] = {}
 
     def on_event(self, event: PersistEvent) -> None:
-        if event.kind == "enqueue":
+        if event.kind == KIND_ENQUEUE:
             self._pending[event.addr] = \
                 self._pending.get(event.addr, 0) + 1
-        elif event.kind == "write":
+        elif event.kind == KIND_LINE:
             addr = event.addr
             credit = self._pending.get(addr, 0)
             if credit <= 0:
@@ -129,7 +108,7 @@ class LeafBeforeParentRule(SanitizerRule):
         self._tree_persists: list[PersistEvent] = []
 
     def on_event(self, event: PersistEvent) -> None:
-        if event.kind != "enqueue" or not event.metadata \
+        if event.kind != KIND_ENQUEUE or not event.metadata \
                 or event.in_flush:
             return
         if event.cycle != self._cycle:
@@ -164,14 +143,13 @@ class ShortcutRootRule(SanitizerRule):
     def __init__(self, sanitizer: "PersistOrderSanitizer") -> None:
         super().__init__(sanitizer)
         self._credits = 0
-        self._last_root: PersistEvent | None = None
 
     def on_event(self, event: PersistEvent) -> None:
-        if event.kind == "root" and event.register == "recovery_root":
+        if event.kind == KIND_REG_ADD and \
+                event.register == "recovery_root":
             self._credits += 1
-            self._last_root = event
             return
-        if event.kind != "enqueue" or not event.metadata \
+        if event.kind != KIND_ENQUEUE or not event.metadata \
                 or event.in_flush:
             return
         if self.amap.region_of(event.addr) is not Region.COUNTER:
@@ -238,7 +216,8 @@ def rules_for(sanitizer: "PersistOrderSanitizer") -> list[SanitizerRule]:
 class PersistOrderSanitizer:
     """Instrument one controller; active until its first crash.
 
-    After ``crash()`` the sanitizer goes dormant: recovery-time traffic
+    The events come from a :class:`PersistRecorder`, the explorer's
+    recorder.  After ``crash()`` it goes dormant: recovery-time traffic
     runs under a different regime (peek/poke reconstruction) that the
     ordering rules do not describe.  Re-attach for a fresh run.
     """
@@ -250,24 +229,18 @@ class PersistOrderSanitizer:
         self.collect = collect
         self.violations: list[str] = []
         self.events: deque[PersistEvent] = deque(maxlen=TRACE_WINDOW)
-        self.active = False
-        self._seq = 0
-        self._flush_depth = 0
-        self._originals: dict[str, object] = {}
         self.rules = rules_for(self)
+        self.recorder = PersistRecorder(controller, self._record,
+                                        at_crash=self.check_crash_point)
 
-    # ------------------------------------------------------------------
-    # Event plumbing
-    # ------------------------------------------------------------------
+    @property
+    def active(self) -> bool:
+        return self.recorder.active
+
     def _record(self, event: PersistEvent) -> None:
         self.events.append(event)
         for rule in self.rules:
             rule.on_event(event)
-
-    def _next_event(self, **kwargs) -> PersistEvent:
-        self._seq += 1
-        return PersistEvent(seq=self._seq,
-                            in_flush=self._flush_depth > 0, **kwargs)
 
     def fail(self, rule_name: str, event: PersistEvent | None,
              message: str, pair: PersistEvent | None = None) -> None:
@@ -288,91 +261,16 @@ class PersistOrderSanitizer:
         if not self.collect:
             raise PersistOrderingError(text)
 
-    # ------------------------------------------------------------------
-    # Instrumentation
-    # ------------------------------------------------------------------
     def attach(self) -> "PersistOrderSanitizer":
-        if self.active:
-            return self
-        controller = self.controller
-        wpq, nvm = controller.wpq, controller.nvm
-
-        orig_enqueue = wpq.enqueue
-        orig_write = nvm.write_line
-        orig_flush_node = controller._flush_node
-        orig_crash = controller.crash
-        self._originals = {
-            "enqueue": orig_enqueue, "write_line": orig_write,
-            "_flush_node": orig_flush_node, "crash": orig_crash,
-        }
-
-        def enqueue(line_addr, cycle, metadata=False):
-            if self.active:
-                self._record(self._next_event(
-                    kind="enqueue", addr=line_addr, cycle=cycle,
-                    metadata=metadata))
-            return orig_enqueue(line_addr, cycle, metadata=metadata)
-
-        def write_line(line_addr, data):
-            if self.active:
-                self._record(self._next_event(
-                    kind="write", addr=line_addr, cycle=None,
-                    metadata=line_addr >= controller.amap.counter_base))
-            return orig_write(line_addr, data)
-
-        def flush_node(node, cycle):
-            self._flush_depth += 1
-            try:
-                return orig_flush_node(node, cycle)
-            finally:
-                self._flush_depth -= 1
-
-        def crash():
-            if self.active:
-                self.check_crash_point()
-                self.active = False
-            return orig_crash()
-
-        wpq.enqueue = enqueue
-        nvm.write_line = write_line
-        controller._flush_node = flush_node
-        controller.crash = crash
-
-        recovery_root = getattr(controller, "recovery_root", None)
-        if recovery_root is not None:
-            orig_root_add = recovery_root.add
-            self._originals["recovery_root.add"] = orig_root_add
-
-            def root_add(slot, delta=1):
-                if self.active:
-                    self._record(self._next_event(
-                        kind="root", addr=None, cycle=None,
-                        register=recovery_root.name, slot=slot,
-                        delta=delta))
-                return orig_root_add(slot, delta)
-
-            recovery_root.add = root_add
-
-        self.active = True
+        if not self.active:
+            self.recorder.attach()
         return self
 
     def detach(self) -> None:
         """Restore the instrumented methods (tests that reuse one
         controller across regimes)."""
-        if not self._originals:
-            return
-        controller = self.controller
-        controller.wpq.enqueue = self._originals["enqueue"]
-        controller.nvm.write_line = self._originals["write_line"]
-        controller._flush_node = self._originals["_flush_node"]
-        controller.crash = self._originals["crash"]
-        root_add = self._originals.get("recovery_root.add")
-        if root_add is not None:
-            controller.recovery_root.add = root_add
-        self._originals = {}
-        self.active = False
+        self.recorder.detach()
 
-    # ------------------------------------------------------------------
     def check_crash_point(self) -> None:
         """Run the crash-point invariants (called automatically from
         the instrumented ``crash``; callable directly for mid-run

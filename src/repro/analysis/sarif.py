@@ -2,12 +2,10 @@
 
 Produces a single-run SARIF log consumable by GitHub code scanning:
 every registered rule is described under ``tool.driver.rules`` (so the
-UI can show the paper-facing rationale), new findings become ``error``
-results, and baselined findings are included with an ``external``
-suppression so they render as acknowledged rather than vanishing.
-``partialFingerprints`` carries the same line-independent fingerprint
-the text baseline uses, letting code-scanning track a finding across
-unrelated edits exactly as ``analysis-baseline.txt`` does.
+UI can show the paper-facing rationale) and every finding becomes an
+``error`` result.  ``partialFingerprints`` carries each finding's
+line-independent fingerprint, so code scanning tracks a finding across
+unrelated edits.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ def _rules_table(report: LintReport) -> tuple[list, dict[str, int]]:
     appear among the report's findings, plus a name -> index map."""
     rules = list(ALL_RULES)
     index = {rule.name: i for i, rule in enumerate(rules)}
-    for violation in (*report.violations, *report.baselined):
+    for violation in report.violations:
         if violation.rule.name not in index:
             index[violation.rule.name] = len(rules)
             rules.append(violation.rule)
@@ -49,10 +47,10 @@ def _rule_descriptor(rule) -> dict:
 
 
 def _result(violation: Violation, uri_prefix: str,
-            suppressed: bool, rule_index: dict[str, int]) -> dict:
+            rule_index: dict[str, int]) -> dict:
     uri = url_join(uri_prefix, violation.path) if uri_prefix \
         else violation.path
-    result = {
+    return {
         "ruleId": violation.rule.id,
         "ruleIndex": rule_index[violation.rule.name],
         "level": "error",
@@ -70,12 +68,6 @@ def _result(violation: Violation, uri_prefix: str,
         }],
         "partialFingerprints": {FINGERPRINT_KEY: violation.fingerprint},
     }
-    if suppressed:
-        result["suppressions"] = [{
-            "kind": "external",
-            "justification": "accepted in analysis-baseline.txt",
-        }]
-    return result
 
 
 def to_sarif(report: LintReport, uri_prefix: str = "") -> dict:
@@ -85,12 +77,8 @@ def to_sarif(report: LintReport, uri_prefix: str = "") -> dict:
     root (e.g. ``src/repro``), so result URIs resolve from the repo
     root as code scanning expects."""
     rules, rule_index = _rules_table(report)
-    results = [_result(v, uri_prefix, suppressed=False,
-                       rule_index=rule_index)
+    results = [_result(v, uri_prefix, rule_index)
                for v in report.violations]
-    results += [_result(v, uri_prefix, suppressed=True,
-                        rule_index=rule_index)
-                for v in report.baselined]
     return {
         "$schema": SARIF_SCHEMA_URI,
         "version": SARIF_VERSION,

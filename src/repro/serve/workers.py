@@ -23,12 +23,16 @@ One :class:`Scheduler` owns the whole execution side of the service:
 All bookkeeping mutations happen on the event-loop thread (submission
 is loop-synchronous, completion resumes on the loop), so the scheduler
 needs no locks; only ``run_cell`` and ``store.put`` leave the loop.
+
+Finished jobs are retained only up to :data:`FINISHED_JOB_RETENTION`;
+past that the oldest finished job is dropped, and its routes answer 404.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from typing import Any
 
 from repro.campaign.executor import CellFn, execute_cell, run_cell
@@ -39,6 +43,11 @@ from repro.serve.queue import CellTask, FairQueue
 from repro.serve.quotas import QuotaPolicy, TenantQuotas
 from repro.serve.storage import CampaignStore
 from repro.campaign.cache import canonical_json, cell_key
+
+#: Most recent finished jobs kept answerable.  Finishing one more drops
+#: the oldest finished job from ``Scheduler.jobs`` and its event history
+#: from the bus, so a long-running server's memory stays bounded.
+FINISHED_JOB_RETENTION = 256
 
 
 class Job:
@@ -86,6 +95,7 @@ class Scheduler:
         self.quotas = TenantQuotas(policy)
         self.queue = FairQueue()
         self.jobs: dict[str, Job] = {}
+        self._finished: deque[str] = deque()
         self.inflight: dict[str, CellTask] = {}
         self.cell_fn = cell_fn
         self._job_seq = 0
@@ -297,6 +307,11 @@ class Scheduler:
                          state=view.state, counts=view.counts(),
                          wall_time=view.wall_time)
         self.bus.close_job(view.job_id)
+        self._finished.append(view.job_id)
+        while len(self._finished) > FINISHED_JOB_RETENTION:
+            dropped = self._finished.popleft()
+            del self.jobs[dropped]
+            self.bus.forget_job(dropped)
 
     # -- queries --------------------------------------------------------
     def job(self, job_id: str) -> Job:

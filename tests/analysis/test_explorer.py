@@ -11,7 +11,7 @@ pruning actually fires.
 """
 
 from repro.analysis.explorer.model import CrashStateModel, brute_force_cuts
-from repro.analysis.explorer.record import record_writes
+from repro.analysis.explorer.record import PersistRecorder, record_writes
 from repro.analysis.explorer.report import (
     REX_MISSED_DETECTION,
     exploration_sarif,
@@ -19,12 +19,17 @@ from repro.analysis.explorer.report import (
     text_matrix,
     violations_report,
 )
+from repro.analysis.explorer.seams import (
+    EXPLORED_ROOT_REGISTERS,
+    SEAM_METHODS,
+)
 from repro.analysis.explorer.shards import (
     ShardResult,
     explore_range,
     parse_group,
     shard_group,
 )
+from repro.secure import make_controller
 from repro.sim.config import SystemConfig
 
 from tests.analysis.fixtures.broken_schemes import BrokenEagerScheme
@@ -203,3 +208,26 @@ class TestShardPlumbing:
         # what keeps their campaign cell ids distinct.
         assert shard_group("scue", 0, 8, None) != \
             shard_group("scue+asit", 0, 8, None)
+
+
+class TestRecorderSeams:
+    def test_patches_exactly_the_registered_seams(self):
+        controller = make_controller(tiny_config())
+        owners = {"": controller, "wpq.": controller.wpq,
+                  "nvm.": controller.nvm}
+        owners.update({f"{name}.": getattr(controller, name)
+                       for name in EXPLORED_ROOT_REGISTERS})
+        before = {prefix: dict(vars(obj))
+                  for prefix, obj in owners.items()}
+        recorder = PersistRecorder(controller, lambda event: None)
+        recorder.attach()
+        patched = {prefix + attr
+                   for prefix, obj in owners.items()
+                   for attr, value in vars(obj).items()
+                   if before[prefix].get(attr) is not value}
+        assert patched == set(SEAM_METHODS) | {
+            f"{name}.{method}" for name in EXPLORED_ROOT_REGISTERS
+            for method in ("add", "set")}
+        recorder.detach()
+        assert {prefix: dict(vars(obj))
+                for prefix, obj in owners.items()} == before

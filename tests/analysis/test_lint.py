@@ -1,12 +1,12 @@
 """reprolint engine: every rule fires exactly once on its known-bad
-fixture, stays quiet on the known-good twin, and honours suppressions
-and the baseline."""
+fixture, stays quiet on the known-good twin, and honours suppressions;
+fingerprints ignore line shifts."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Baseline, Linter
+from repro.analysis import Linter
 from repro.analysis.rules import Violation, get_rule
 from repro.errors import ConfigError
 
@@ -213,25 +213,6 @@ class TestSelect:
 
 
 class TestBaseline:
-    def test_round_trip_matches_everything(self, tmp_path):
-        violations = lint_file(FIXTURES / "bad_bare_assert.py")
-        path = tmp_path / "baseline.txt"
-        Baseline.from_violations(violations).save(path)
-        new, baselined, stale = Baseline.load(path).split(violations)
-        assert new == []
-        assert len(baselined) == 1
-        assert stale == []
-
-    def test_stale_entries_surface(self, tmp_path):
-        old = lint_file(FIXTURES / "bad_bare_assert.py")
-        path = tmp_path / "baseline.txt"
-        Baseline.from_violations(old).save(path)
-        current = lint_file(FIXTURES / "bad_stat_counter.py")
-        new, baselined, stale = Baseline.load(path).split(current)
-        assert len(new) == 1       # the unbaselined finding
-        assert baselined == []
-        assert len(stale) == 1     # the entry that matched nothing
-
     def test_fingerprint_survives_line_shifts(self):
         rule = get_rule("bare-assert")
         a = Violation(rule=rule, path="sim/x.py", line=5, column=5,
@@ -252,7 +233,5 @@ class TestBaseline:
 class TestPackageTree:
     def test_package_has_no_unbaselined_violations(self):
         repo_src = Path(__file__).resolve().parents[2] / "src" / "repro"
-        baseline = Baseline.load(
-            Path(__file__).resolve().parents[2] / "analysis-baseline.txt")
-        new, _, _ = baseline.split(Linter(repo_src).run())
-        assert new == [], "\n".join(v.format() for v in new)
+        found = Linter(repo_src).run()
+        assert found == [], "\n".join(v.format() for v in found)

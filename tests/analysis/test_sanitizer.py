@@ -124,7 +124,7 @@ class TestLeafBeforeParentRule:
     def test_eviction_flush_is_exempt(self):
         controller, sanitizer = self.make()
         amap = controller.amap
-        sanitizer._flush_depth = 1  # simulate a victim writeback
+        sanitizer.recorder._flush = 0  # simulate a victim writeback
         controller.wpq.enqueue(amap.tree_node_addr(1, 0), 100,
                                metadata=True)
         controller.wpq.enqueue(amap.counter_block_addr(0), 100,

@@ -6,7 +6,6 @@ import json
 from pathlib import Path
 
 from repro.analysis import Linter
-from repro.analysis.baseline import Baseline
 from repro.analysis.cli import main
 from repro.analysis.report import LintReport
 from repro.analysis.rules import ALL_RULES
@@ -19,15 +18,9 @@ from repro.analysis.sarif import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def report_for(fixture, baselined=False):
-    violations = Linter(FIXTURES / fixture).run()
-    report = LintReport(files_checked=1)
-    if baselined:
-        _, report.baselined, _ = \
-            Baseline.from_violations(violations).split(violations)
-    else:
-        report.violations = violations
-    return report
+def report_for(fixture):
+    return LintReport(violations=Linter(FIXTURES / fixture).run(),
+                      files_checked=1)
 
 
 class TestLogShape:
@@ -84,21 +77,12 @@ class TestSuppressions:
         (run,) = to_sarif(report_for("bad_bare_assert.py"))["runs"]
         assert "suppressions" not in run["results"][0]
 
-    def test_baselined_findings_are_externally_suppressed(self):
-        report = report_for("bad_bare_assert.py", baselined=True)
-        assert report.baselined and not report.violations
-        (run,) = to_sarif(report)["runs"]
-        (result,) = run["results"]
-        (suppression,) = result["suppressions"]
-        assert suppression["kind"] == "external"
-        assert "baseline" in suppression["justification"]
-
 
 class TestCliEndToEnd:
     def test_sarif_flag_writes_a_loadable_log(self, tmp_path, capsys):
         out = tmp_path / "out.sarif"
         code = main([str(FIXTURES / "bad_bare_assert.py"),
-                     "--no-baseline", "--sarif", str(out)])
+                     "--sarif", str(out)])
         assert code == 1  # gating is unchanged by the export
         log = json.loads(out.read_text())
         assert log["version"] == "2.1.0"

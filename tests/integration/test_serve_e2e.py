@@ -64,6 +64,9 @@ def _stop(proc) -> None:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(15)
+    for pipe in (proc.stdout, proc.stderr):
+        if pipe is not None:
+            pipe.close()
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ import pytest
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec
-from repro.serve import api
+from repro.serve import api, workers
 from repro.serve.app import ServeConfig, ServerApp
 from repro.serve.client import ClientError, ServeClient, discover_url
 from repro.serve.events import encode_ndjson, encode_sse
@@ -274,6 +274,23 @@ class TestEventStreams:
         frames = [f for f in body.split("\n\n") if f.strip()]
         assert frames[0].startswith("id: ")
         assert any("event: job_finished" in f for f in frames)
+
+
+class TestJobRetention:
+    def test_a_dropped_job_is_404_on_every_route(self, scratch,
+                                                 monkeypatch):
+        monkeypatch.setattr(workers, "FINISHED_JOB_RETENTION", 1)
+        spec = fake_spec(1).to_dict()
+        with serving(scratch) as (app, client):
+            old, new = (client.wait(client.submit(spec)["job_id"],
+                                    timeout=60)["job_id"]
+                        for _ in range(2))
+            for suffix in ("", "/results", "/events", "/events?follow=0"):
+                with pytest.raises(ClientError) as excinfo:
+                    client._request("GET", f"/v1/campaigns/{old}{suffix}")
+                assert excinfo.value.status == 404
+                _get(client, f"/v1/campaigns/{new}{suffix}")
+            assert app.scheduler.counters["jobs"] == 2
 
 
 class TestDiscovery:

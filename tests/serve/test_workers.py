@@ -15,6 +15,7 @@ from repro.errors import CampaignError
 from repro.serve import api
 from repro.serve.events import EventBus
 from repro.serve.quotas import QuotaPolicy
+from repro.serve import workers
 from repro.serve.storage import CampaignStore
 from repro.serve.workers import Scheduler
 
@@ -170,6 +171,50 @@ class TestSchedulerDedup:
             assert all("boom in" in e["error"] for e in finished)
         _run(_with_scheduler(scratch, body, cell_fn=raising_cell,
                              retries=0))
+
+
+class TestJobRetention:
+    def test_finished_jobs_beyond_the_limit_are_dropped(self, scratch,
+                                                        monkeypatch):
+        monkeypatch.setattr(workers, "FINISHED_JOB_RETENTION", 2)
+
+        async def body(scheduler, store, bus):
+            ids = []
+            for _ in range(4):
+                job = scheduler.submit(
+                    api.SubmitRequest(tenant="t", spec=fake_spec(1)))
+                await asyncio.wait_for(job.done.wait(), 30)
+                ids.append(job.view.job_id)
+            assert list(scheduler.jobs) == ids[2:]
+            for job_id in ids[:2]:
+                with pytest.raises(api.NotFoundError):
+                    scheduler.job(job_id)
+                assert bus.history(job_id) == []
+            assert bus.stats()["jobs_tracked"] == 2
+            assert bus.stats()["jobs_closed"] == 2
+            # Cumulative counters keep counting dropped jobs.
+            assert scheduler.counters["jobs"] == 4
+            assert scheduler.counters["cells_submitted"] == 4
+        _run(_with_scheduler(scratch, body))
+
+    def test_an_open_stream_of_a_dropped_job_still_ends(self, scratch,
+                                                        monkeypatch):
+        monkeypatch.setattr(workers, "FINISHED_JOB_RETENTION", 0)
+
+        async def body(scheduler, store, bus):
+            job = scheduler.submit(
+                api.SubmitRequest(tenant="t", spec=fake_spec(2)))
+            job_id = job.view.job_id
+            subscription = bus.subscribe(job_id)
+            await asyncio.wait_for(job.done.wait(), 30)
+            assert job_id not in scheduler.jobs
+            events = []
+            while not events or events[-1] is not None:
+                events += await asyncio.wait_for(
+                    subscription.next_batch(), 30)
+            subscription.close()
+            assert events[-2]["event"] == api.EV_JOB_FINISHED
+        _run(_with_scheduler(scratch, body))
 
 
 class TestSchedulerQuotas:

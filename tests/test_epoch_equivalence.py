@@ -228,7 +228,7 @@ class TestSanitizerFallback:
             system = build_system(scheme, engine)
             sanitizer = attach_sanitizer(system.controller)
             system.run(iter(trace))
-            streams[engine] = (sanitizer._seq, list(sanitizer.events),
+            streams[engine] = (sanitizer.recorder._seq, list(sanitizer.events),
                                result_digest(system.result("fallback")))
         assert streams["auto"][0] == streams["scalar"][0]  # event count
         assert streams["auto"][1] == streams["scalar"][1]  # trace window
