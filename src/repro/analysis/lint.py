@@ -533,7 +533,8 @@ class HotPathAllocationRule(LintRule):
                         f"{what} in hot-path method '{func.name}' "
                         "allocates on every access — hoist to "
                         "__init__, reuse a preallocated buffer, or "
-                        "memoize by content")
+                        "memoize by content where a measured hit rate "
+                        "pays for it")
 
 
 # ======================================================================

@@ -90,9 +90,11 @@ ALL_RULES: tuple[RuleInfo, ...] = (
                   "exactly what dominated the profile before the "
                   "hot-path overhaul (docs/performance.md).  Build "
                   "containers at construction time, reuse "
-                  "preallocated buffers, or memoize by content; "
-                  "genuinely cold branches (overflow handling) belong "
-                  "in the baseline with a justification.",
+                  "preallocated buffers, or memoize by content where "
+                  "a measured hit rate pays for it; genuinely cold "
+                  "branches (overflow handling) carry an inline "
+                  "`# reprolint: disable=hot-path-allocation` comment "
+                  "with a justification.",
     ),
     RuleInfo(
         id="RPL010",

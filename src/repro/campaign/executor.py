@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import threading
 import time
 import traceback
 from collections import deque
@@ -433,12 +434,56 @@ class CellOutcome:
     attempts: int
 
 
+class WorkerSet:
+    """The live worker processes of the :func:`run_cell` calls sharing
+    this set, so that a scheduler can stop without waiting out its
+    cells.  After :meth:`halt`, each of those calls fails at once
+    instead of retrying its killed worker."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._live: set = set()
+        self._halted = threading.Event()
+
+    @property
+    def halted(self) -> bool:
+        return self._halted.is_set()
+
+    def start(self, proc) -> None:
+        """Start ``proc``; once halted, kill it straight away."""
+        with self._lock:
+            proc.start()
+            if self._halted.is_set():
+                proc.kill()
+            else:
+                self._live.add(proc)
+
+    def discard(self, proc) -> None:
+        with self._lock:
+            self._live.discard(proc)
+
+    def sleep(self, seconds: float) -> None:
+        """A backoff sleep that :meth:`halt` cuts short."""
+        self._halted.wait(seconds)
+
+    def halt(self) -> None:
+        """Kill every live worker.  SIGKILL, not SIGTERM: a worker
+        forked from a server keeps the event loop's SIGTERM handling,
+        which does not stop the worker and wakes the server's own
+        shutdown."""
+        with self._lock:
+            self._halted.set()
+            for proc in self._live:
+                proc.kill()
+
+
 def run_cell(cell: CellSpec, *,
              cell_fn: CellFn = execute_cell,
              timeout: float | None = None,
              retries: int | None = None,
              backoff: float = 0.5,
-             on_retry: Callable[[int, str], None] | None = None
+             on_retry: Callable[[int, str], None] | None = None,
+             workers: WorkerSet | None = None
              ) -> CellOutcome:
     """Run one cell in a supervised worker process, with retries.
 
@@ -449,10 +494,13 @@ def run_cell(cell: CellSpec, *,
     failed attempts back off with :func:`_backoff_delay`.  ``on_retry``
     is called as ``(attempt, error)`` before each backoff sleep.
     Raises :class:`CampaignError` with the parallel path's message
-    shape once the retry budget is spent.
+    shape once the retry budget is spent, and at once, without a retry,
+    when ``workers`` is halted.
     """
     if retries is None:
         retries = 2
+    if workers is None:
+        workers = WorkerSet()
     ctx = _mp_context()
     attempts = 0
     while True:
@@ -460,7 +508,7 @@ def run_cell(cell: CellSpec, *,
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(target=_worker_main,
                            args=(cell, cell_fn, child_conn), daemon=True)
-        proc.start()
+        workers.start(proc)
         child_conn.close()
         error: str
         try:
@@ -502,13 +550,17 @@ def run_cell(cell: CellSpec, *,
             proc.join(5.0)
         finally:
             parent_conn.close()
+            workers.discard(proc)
+        if workers.halted:
+            raise CampaignError(
+                f"cell {cell.cell_id} stopped: its workers were halted")
         if attempts > retries:
             raise CampaignError(
                 f"cell {cell.cell_id} failed after {attempts} "
                 f"attempt(s): {_last_line(error)}")
         if on_retry is not None:
             on_retry(attempts, error)
-        time.sleep(_backoff_delay(backoff, attempts))
+        workers.sleep(_backoff_delay(backoff, attempts))
 
 
 def _backoff_delay(backoff: float, attempt: int) -> float:

@@ -55,9 +55,10 @@ _PARSE_MEMO: dict[bytes, tuple[int, tuple[int, ...], int]] = {}
 _PARSE_MEMO_LIMIT = 1 << 15
 
 #: Content-keyed counter-image memo: packing is a pure function of
-#: (major, minors), and each write packs the same state twice (once to
-#: MAC it at seal time, once to serialise it for media), so the second
-#: pack is a dict hit.  Any counter mutation changes the key.
+#: (major, minors), and the memo outlives a ``System``, so the cells of a
+#: figure that replay one trace under each scheme pack the same leaf
+#: states again (90-95 % hits on perfbench's fig-spec and fig-persist).
+#: Any counter mutation changes the key.
 _IMAGE_MEMO: dict[tuple[int, tuple[int, ...]], bytes] = {}
 _IMAGE_MEMO_LIMIT = 1 << 15
 
@@ -166,24 +167,8 @@ class CounterBlock:
     def compute_hmac(self, mac: KeyedMac, node_addr: int,
                      parent_counter: int) -> int:
         """HMAC over (address, all counters, parent counter) — the SIT node
-        MAC recipe of Fig 4 applied to the leaf layout.
-
-        Memoized by *content*: the key is the full counter state itself,
-        so a verify of an unchanged block is a dict hit while any counter
-        or address mutation forms a new key and recomputes — tampering can
-        never be answered from the cache.
-        """
-        memo = mac.memo
-        key = ("leaf", node_addr, self.major, tuple(self.minors),
-               parent_counter)
-        value = memo.get(key)
-        if value is None:
-            value = mac.mac_uncached(node_addr, self._counter_image(),
-                                     parent_counter)
-            if len(memo) >= mac.MEMO_LIMIT:
-                memo.clear()
-            memo[key] = value
-        return value
+        MAC recipe of Fig 4 applied to the leaf layout."""
+        return mac.mac(node_addr, self._counter_image(), parent_counter)
 
     def seal(self, mac: KeyedMac, node_addr: int, parent_counter: int) -> None:
         """Recompute and store the HMAC (done when the block is about to be
@@ -212,9 +197,7 @@ class CounterBlock:
         if self.hmac < 0 or self.hmac >> 64:
             raise ConfigError(
                 f"value {self.hmac} does not fit in 64 bits")
-        value = int.from_bytes(self._counter_image(), "little") \
-            | (self.hmac << _IMAGE_BITS)
-        return value.to_bytes(CACHE_LINE_SIZE, "little")
+        return self._counter_image() + self.hmac.to_bytes(8, "little")
 
     @classmethod
     def from_bytes(cls, index: int, data: bytes) -> "CounterBlock":

@@ -35,7 +35,7 @@ import time
 from collections import deque
 from typing import Any
 
-from repro.campaign.executor import CellFn, execute_cell, run_cell
+from repro.campaign.executor import CellFn, WorkerSet, execute_cell, run_cell
 from repro.errors import CampaignError
 from repro.serve import api
 from repro.serve.events import EventBus, result_obs_summary
@@ -105,6 +105,7 @@ class Scheduler:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pump: asyncio.Task | None = None
         self._cell_tasks: set[asyncio.Task] = set()
+        self._workers = WorkerSet()
         self.counters = {"jobs": 0, "cells_submitted": 0,
                          "store_hits": 0, "inflight_hits": 0,
                          "cells_computed": 0, "cells_failed": 0}
@@ -123,8 +124,14 @@ class Scheduler:
                 await self._pump
             except asyncio.CancelledError:
                 pass
-        for task in list(self._cell_tasks):
+        cells = list(self._cell_tasks)
+        for task in cells:
             task.cancel()
+        # Each cancelled cell's thread still supervises its worker, and
+        # asyncio.run waits for that thread: kill the workers so the
+        # threads return now, not when the cells would have ended.
+        self._workers.halt()
+        await asyncio.gather(*cells, return_exceptions=True)
 
     # -- submission (event-loop thread) ---------------------------------
     def submit(self, request: api.SubmitRequest) -> Job:
@@ -250,7 +257,8 @@ class Scheduler:
             outcome = await asyncio.to_thread(
                 run_cell, task.cell, cell_fn=self.cell_fn,
                 timeout=self.timeout, retries=self.retries,
-                backoff=self.backoff, on_retry=on_retry)
+                backoff=self.backoff, on_retry=on_retry,
+                workers=self._workers)
             await asyncio.to_thread(self.store.put, task.cell,
                                     outcome.result, outcome.wall_time)
         except CampaignError as exc:

@@ -19,6 +19,16 @@ MAC_BYTES = MAC_BITS // 8
 OTP_BYTES = 64
 
 
+#: Pre-keyed blake2b states.  Keying a state costs a compression of the
+#: padded key block, so every MAC and pad ``.copy()``-es one of these
+#: instead.  They live here rather than on the instances because a
+#: blake2b state does not pickle (``repro.sim.checkpoint`` pickles the
+#: whole system).  Keys are config constants: a handful of entries.
+#: MAC states are keyed by the derived key, pad states by the user key.
+_MAC_STATES: dict[bytes, hashlib.blake2b] = {}
+_OTP_STATES: dict[bytes, hashlib.blake2b] = {}
+
+
 class KeyedMac:
     """A keyed 64-bit MAC, the simulator's stand-in for the hardware HMAC
     unit.
@@ -26,25 +36,24 @@ class KeyedMac:
     The secret key lives inside the trusted on-chip domain; attackers (and
     attack-injection code) never see it, which is exactly why roll-forward
     attacks are detected (§IV-B2): without the key an attacker cannot forge
-    a MAC over modified counters.
+    a MAC over modified counters.  Nothing caches a MAC: every seal and
+    every verify hashes its inputs (docs/performance.md).
     """
-
-    #: Entry cap on the content-keyed memo; the table is dropped wholesale
-    #: when full (simple, and refill cost is one recomputation per entry).
-    MEMO_LIMIT = 1 << 17
 
     def __init__(self, key: bytes = b"repro-secret-key") -> None:
         if not key:
             raise ValueError("MAC key must be non-empty")
         # blake2b keys are capped at 64 bytes.
         self._key = hashlib.blake2b(key, digest_size=32).digest()
-        #: Content-keyed digest memo.  A MAC is a pure function of the key
-        #: and the input parts, so caching by the *parts themselves* is
-        #: sound: any mutation of the hashed content produces a different
-        #: memo key and recomputes — a tampered node can never inherit a
-        #: cached MAC (docs/performance.md).  Node code also parks
-        #: structured keys here (tagged tuples) to skip image packing.
-        self.memo: dict[tuple, int] = {}
+
+    def _state(self) -> hashlib.blake2b:
+        """The shared pre-keyed state; callers copy it, never update it.
+        Built on first use, also after unpickling in a fresh process."""
+        state = _MAC_STATES.get(self._key)
+        if state is None:
+            state = _MAC_STATES[self._key] = hashlib.blake2b(
+                key=self._key, digest_size=MAC_BYTES)
+        return state
 
     def mac(self, *parts: bytes | int) -> int:
         """Compute the 64-bit MAC over the concatenation of ``parts``.
@@ -54,21 +63,7 @@ class KeyedMac:
         layouts.  Returns the MAC as an unsigned 64-bit integer (the form
         stored in node images).
         """
-        memo = self.memo
-        value = memo.get(parts)
-        if value is not None:
-            return value
-        value = self.mac_uncached(*parts)
-        if len(memo) >= self.MEMO_LIMIT:
-            memo.clear()
-        memo[parts] = value
-        return value
-
-    def mac_uncached(self, *parts: bytes | int) -> int:
-        """:meth:`mac` without the memo — for callers (node HMACs) that
-        keep their own content-keyed memo and would otherwise populate
-        both tables on every miss."""
-        h = hashlib.blake2b(key=self._key, digest_size=MAC_BYTES)
+        h = self._state().copy()
         for part in parts:
             if isinstance(part, int):
                 h.update(part.to_bytes(8, "little", signed=False))
@@ -76,23 +71,21 @@ class KeyedMac:
                 h.update(part)
         return int.from_bytes(h.digest(), "little")
 
+    #: The same computation under its older name, kept so code that
+    #: wraps or patches both names keeps working.
+    mac_uncached = mac
+
     def mac_bytes(self, *parts: bytes | int) -> bytes:
         """Like :meth:`mac` but returns the raw 8-byte digest."""
         return self.mac(*parts).to_bytes(MAC_BYTES, "little")
 
     def keyed_state(self) -> hashlib.blake2b:
-        """The keyed blake2b state every MAC starts from, before any
-        input.  A caller sealing many lines ``.copy()``-es it per line
-        instead of keying a fresh state each time; ``copy().update(b)``
-        then ``digest()`` is :meth:`mac_uncached` of ``b`` as the raw
-        8-byte digest.  The key itself never leaves this object."""
-        return hashlib.blake2b(key=self._key, digest_size=MAC_BYTES)
-
-
-#: Derived-key cache for :func:`make_otp`: one blake2b per distinct user
-#: key instead of one per pad.  Keys are config constants, so this stays
-#: a handful of entries for the life of the process.
-_DERIVED_KEYS: dict[bytes, bytes] = {}
+        """A fresh copy of the keyed blake2b state every MAC starts from,
+        before any input.  A caller sealing many lines ``.copy()``-es it
+        per line; ``copy().update(b)`` then ``digest()`` is :meth:`mac`
+        of ``b`` as the raw 8-byte digest.  The key itself never leaves
+        this object."""
+        return self._state().copy()
 
 
 def make_otp(key: bytes, line_addr: int, major: int, minor: int) -> bytes:
@@ -103,11 +96,12 @@ def make_otp(key: bytes, line_addr: int, major: int, minor: int) -> bytes:
     security argument only needs pads to be unique per (address, counter)
     pair and unpredictable without the key — both hold here.
     """
-    derived = _DERIVED_KEYS.get(key)
-    if derived is None:
+    state = _OTP_STATES.get(key)
+    if state is None:
         derived = hashlib.blake2b(key, digest_size=32).digest()
-        _DERIVED_KEYS[key] = derived
-    h = hashlib.blake2b(key=derived, digest_size=32)
+        state = _OTP_STATES[key] = hashlib.blake2b(key=derived,
+                                                   digest_size=32)
+    h = state.copy()
     h.update(line_addr.to_bytes(8, "little"))
     h.update(major.to_bytes(8, "little"))
     h.update(minor.to_bytes(2, "little"))

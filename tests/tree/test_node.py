@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.mem.address import TREE_ARITY
+from repro.mem.address import COUNTER_BITS_FOR_ARITY, TREE_ARITY
 from repro.tree.node import COUNTER_BITS, COUNTER_MASK, SITNode
 from repro.util.crypto import KeyedMac
 
@@ -120,6 +120,35 @@ class TestSerialisation:
         restored = SITNode.from_bytes(2, 7, node.to_bytes())
         assert restored.counters == list(counters)
         assert restored.hmac == hmac
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_image_equals_reference_packer(self, data):
+        """Every layout's image is the counters shift-or packed, first
+        counter lowest, then the HMAC as a little-endian 8-byte word."""
+        arity = data.draw(st.sampled_from(sorted(COUNTER_BITS_FOR_ARITY)))
+        bits = COUNTER_BITS_FOR_ARITY[arity]
+        counters = data.draw(st.lists(st.integers(0, (1 << bits) - 1),
+                                      min_size=arity, max_size=arity))
+        hmac = data.draw(st.integers(0, 2**64 - 1))
+        value = 0
+        for slot, counter in enumerate(counters):
+            value |= counter << (slot * bits)
+        image = value.to_bytes(56, "little")
+        node = SITNode(1, 0, counters=counters, hmac=hmac, arity=arity)
+        assert node._counter_image() == image
+        assert node.to_bytes() == image + hmac.to_bytes(8, "little")
+
+    @pytest.mark.parametrize("arity", sorted(COUNTER_BITS_FOR_ARITY))
+    @pytest.mark.parametrize("bad", ["oversized", "negative"])
+    def test_unpackable_counter_rejected(self, arity, bad):
+        bits = COUNTER_BITS_FOR_ARITY[arity]
+        node = SITNode(1, 0, arity=arity)
+        node.counters[arity - 1] = 1 << bits if bad == "oversized" else -1
+        with pytest.raises(ConfigError, match=f"fit in {bits} bits"):
+            node._counter_image()
+        with pytest.raises(ConfigError):
+            node.to_bytes()
 
     def test_image_is_one_line(self):
         assert len(SITNode(1, 0).to_bytes()) == 64

@@ -1,9 +1,12 @@
 """The keyed MAC and OTP primitives: determinism, key separation, and the
 properties the security arguments lean on."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.util import crypto
 from repro.util.crypto import KeyedMac, MAC_BYTES, OTP_BYTES, make_otp, xor_bytes
 
 
@@ -51,6 +54,28 @@ class TestKeyedMac:
         mac = KeyedMac(b"k")
         if a != b:
             assert mac.mac(a, b"sep") != mac.mac(b, b"sep") or a == b
+
+    def test_pickled_mac_still_macs_identically(self, monkeypatch):
+        """Checkpoints pickle the whole system, so the pre-keyed state
+        must not ride on the instance.  A copy unpickled where no state
+        was ever built (a fresh table, as in a new process) rebuilds it
+        and agrees with the original."""
+        mac = KeyedMac(b"checkpoint-key")
+        parts = (0x1234, b"counters" * 7, 99)
+        expected = mac.mac(*parts)
+        blob = pickle.dumps(mac, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.setattr(crypto, "_MAC_STATES", {})
+        restored = pickle.loads(blob)
+        assert restored.mac(*parts) == expected
+        assert restored.keyed_state().digest() \
+            == mac.keyed_state().digest()
+
+    def test_keyed_state_is_a_private_copy(self):
+        """Updating a handed-out state must not leak into later MACs."""
+        mac = KeyedMac(b"k")
+        before = mac.mac(b"data")
+        mac.keyed_state().update(b"poison")
+        assert mac.mac(b"data") == before
 
 
 class TestMakeOtp:

@@ -1,5 +1,8 @@
 """The ``repro-sim report`` verb end to end (no subprocess)."""
 
+import csv
+import json
+
 from repro.cli import main
 from repro.viz.validate import main as validate_main
 
@@ -30,3 +33,34 @@ class TestReportVerb:
                    "--resamples", "50", "--no-overheads"])
         assert rc == 0
         assert not (out / "sec5f_space_overheads.vl.json").exists()
+
+    def test_recovery_and_crash_window_artifacts(self, campaign_dir,
+                                                 tmp_path, capsys):
+        """The two direct-simulation figures ride along with a bundle.
+        Only the bundle's shape is checked: Fig 13's values are meant to
+        move as its recovery model does."""
+        out = tmp_path / "bundle"
+        rc = main(["report", str(campaign_dir), "--out", str(out),
+                   "--recovery", "--recovery-sizes", "16384",
+                   "--crash-window", "--resamples", "200"])
+        assert rc == 0
+        output = capsys.readouterr().out
+        assert "running Fig 13 recovery sweep (1 cache sizes" in output
+        assert "running Fig 5 crash-window trials" in output
+        status = (out / "STATUS.md").read_text()
+        tables = {}
+        for name in ("fig13_recovery_time", "fig5_crash_window"):
+            spec = json.loads((out / f"{name}.vl.json").read_text())
+            assert spec["data"] == {"url": f"{name}.csv"}
+            with open(out / f"{name}.csv", newline="") as handle:
+                tables[name] = list(csv.DictReader(handle))
+            assert tables[name]
+            assert name in status
+        # One point per tracker, at the one cache size asked for.
+        recovery = tables["fig13_recovery_time"]
+        assert sorted(row["tracker"] for row in recovery) \
+            == ["agit", "star"]
+        assert {row["cache_kb"] for row in recovery} == {"16"}
+        window = tables["fig5_crash_window"]
+        assert len({row["scheme"] for row in window}) == len(window)
+        assert validate_main([str(out)]) == 0
