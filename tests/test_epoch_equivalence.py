@@ -24,6 +24,9 @@ halves of that promise:
 * under write-through, baseline and BMF-ideal never flush, even from a
   direct-mapped cache, and a dirty BMF-ideal victim (which cannot
   happen) makes the epoch engine raise;
+* a byte flipped on media in a counter block, a SIT node or a data line
+  makes the next epoch-engine read of that line raise
+  :class:`~repro.errors.IntegrityError`, and untampered media verifies;
 * the persist-order sanitizer's seam patches make the run ineligible:
   ``engine="auto"`` silently takes the scalar loop and the sanitizer
   observes the exact same persist-event stream as an explicit scalar
@@ -46,7 +49,7 @@ import pytest
 
 from repro.analysis.sanitizer import attach_sanitizer
 from repro.cme.counters import MINOR_LIMIT
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, IntegrityError, SimulationError
 from repro.mem.trace import AccessType, MemoryAccess
 from repro.perf.harness import result_digest
 from repro.secure import SCHEMES as CONTROLLERS
@@ -57,10 +60,12 @@ from repro.workloads import make_workload
 
 from tests.conftest import (
     SMALL_CAPACITY,
+    persist_trace,
     random_trace,
     small_config,
     store_heavy_trace,
 )
+from tests.secure.test_runtime_detection import force_refetch
 
 SCHEMES = ("baseline", "lazy", "eager", "plp", "bmf-ideal", "scue")
 
@@ -201,6 +206,52 @@ class TestWriteThroughNeverFlushes:
             line.dirty = True
         with pytest.raises(SimulationError, match="dirty BMF-ideal"):
             epoch.EpochEngine(system).run(iter(trace[100:]))
+
+
+def tampered_read(scheme: str, target: str | None) -> None:
+    """Persist through the epoch engine, flush every dirty node and drop
+    the metadata and CPU caches, flip one byte of the ``target`` line on
+    media (none when ``target`` is ``None``), then read data line 0
+    through a second epoch run: its leaf, the leaf's SIT parent and the
+    line itself are fetched from media and verified again."""
+    system = build_system(scheme)
+    ctl = system.controller
+    epoch.EpochEngine(system).run(iter(
+        [MemoryAccess(AccessType.PERSIST, 0)] + persist_trace(200, seed=13)))
+    force_refetch(ctl)
+    system.hierarchy.drop_all()
+    if target is not None:
+        addr = {"counter-block": ctl.amap.counter_block_addr(0),
+                "sit-node": ctl.store.node_addr(1, 0),
+                "data": 0}[target]
+        image = bytearray(ctl.nvm.peek_line(addr))
+        assert any(image), f"{target} line never persisted"
+        image[4] ^= 0x40
+        ctl.nvm.poke_line(addr, bytes(image))
+    epoch.EpochEngine(system).run(iter(
+        [MemoryAccess(AccessType.READ, 0)]))
+
+
+@pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "baseline"])
+class TestTamperDetection:
+    """The epoch engine verifies media itself: a chain miss MACs the
+    media line it read, and a data read recomputes the data MAC.  A
+    tampered line must raise there, as on the scalar path
+    (tests/secure/test_runtime_detection.py)."""
+
+    def test_untampered_media_verifies(self, scheme):
+        tampered_read(scheme, None)
+
+    @pytest.mark.parametrize("target", ("counter-block", "sit-node", "data"))
+    def test_tampered_line_raises(self, scheme, target):
+        if scheme == "bmf-ideal" and target == "sit-node":
+            pytest.skip("BMF-ideal keeps no SIT node on media")
+        # A tampered counter would also fail the data MAC, which hashes
+        # the counters: the message pins which check caught it.
+        check = "data MAC mismatch" if target == "data" \
+            else "verification failed for tree node"
+        with pytest.raises(IntegrityError, match=check):
+            tampered_read(scheme, target)
 
 
 class TestSanitizerFallback:
