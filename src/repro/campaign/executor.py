@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import signal
 import threading
 import time
 import traceback
@@ -281,8 +282,35 @@ class _Running:
     started: float
 
 
+#: Signals a worker must not handle the way its parent does.
+_WORKER_SIGNALS = {signal.SIGTERM, signal.SIGINT}
+
+
+def _start_worker(proc) -> None:
+    """Start ``proc`` with :data:`_WORKER_SIGNALS` blocked in the
+    forking thread, so the child begins with them blocked too.
+
+    A worker forked from ``repro-sim serve`` inherits its event loop's
+    signal handling: a no-op handler and the loop's wakeup fd.  A
+    timeout's SIGTERM would then not stop the worker but reach the
+    server through that fd and run the server's shutdown.  Blocked, a
+    SIGTERM sent before :func:`_worker_main` has restored the defaults,
+    even one sent before the child first runs, waits for them."""
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, _WORKER_SIGNALS)
+    try:
+        proc.start()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
+
+
 def _worker_main(cell: CellSpec, cell_fn: CellFn, conn) -> None:
-    """Worker entry: one cell, one message on its private pipe, exit."""
+    """Worker entry: one cell, one message on its private pipe, exit.
+    It first restores the default handling of the signals
+    :func:`_start_worker` blocked, then unblocks them."""
+    signal.set_wakeup_fd(-1)
+    for signum in _WORKER_SIGNALS:
+        signal.signal(signum, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _WORKER_SIGNALS)
     try:
         started = time.perf_counter()
         result = cell_fn(cell)
@@ -315,7 +343,7 @@ def _run_parallel(state: _Bookkeeper, pending_ids: list[int], jobs: int,
             target=_worker_main,
             args=(state.spec.cells[index], cell_fn, child_conn),
             daemon=True)
-        proc.start()
+        _start_worker(proc)
         child_conn.close()      # parent's copy; child keeps its own
         now = time.monotonic()
         running[index] = _Running(
@@ -452,7 +480,7 @@ class WorkerSet:
     def start(self, proc) -> None:
         """Start ``proc``; once halted, kill it straight away."""
         with self._lock:
-            proc.start()
+            _start_worker(proc)
             if self._halted.is_set():
                 proc.kill()
             else:
@@ -467,10 +495,9 @@ class WorkerSet:
         self._halted.wait(seconds)
 
     def halt(self) -> None:
-        """Kill every live worker.  SIGKILL, not SIGTERM: a worker
-        forked from a server keeps the event loop's SIGTERM handling,
-        which does not stop the worker and wakes the server's own
-        shutdown."""
+        """Kill every live worker with SIGKILL: a halt stops the cells
+        in flight at once, whatever they are running, and never waits
+        for a worker to act on a signal."""
         with self._lock:
             self._halted.set()
             for proc in self._live:

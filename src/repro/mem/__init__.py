@@ -2,7 +2,7 @@
 caches, the write pending queue, and the memory-access trace format."""
 
 from repro.mem.address import AddressMap, CACHE_LINE_SIZE, Region
-from repro.mem.cache import CacheStats, SetAssociativeCache
+from repro.mem.cache import CacheStats, SetAssociativeCache, TagCache
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.nvm import NVMDevice
 from repro.mem.timing import PCMTiming, TimingModel
@@ -14,6 +14,7 @@ __all__ = [
     "CACHE_LINE_SIZE",
     "Region",
     "SetAssociativeCache",
+    "TagCache",
     "CacheStats",
     "CacheHierarchy",
     "NVMDevice",

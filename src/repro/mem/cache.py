@@ -1,17 +1,18 @@
-"""A generic set-associative, write-back, LRU cache.
+"""Set-associative, write-back, LRU caches keyed by line address.
 
-Used three ways in the simulated system:
+Two forms share one geometry and one set of statistics:
 
-* the CPU-side L1/L2/L3 data caches (tag-only: hit/miss behaviour and
-  writeback addresses matter, contents travel through the model elsewhere),
-* the security-metadata cache in the memory controller (256 KB in Table II)
-  which caches counter blocks and tree nodes *with* their contents, and
-* the unbounded non-volatile metadata cache (nvMC) of the BMF-ideal
-  baseline (associativity ``0`` means fully-unbounded, never evicts).
+* :class:`TagCache`, the CPU-side L1/L2/L3 data caches.  They are
+  tag-only: hit/miss behaviour and writeback addresses matter, contents
+  travel through the model elsewhere, so each set maps a resident line
+  address to its dirty bit.
+* :class:`SetAssociativeCache`, the security-metadata cache in the
+  memory controller (256 KB in Table II), which caches counter blocks
+  and tree nodes *with* their contents as :class:`CacheLine` payloads.
 
-Eviction returns the victim so callers can model writebacks; dirty state is
-tracked per line.  Payloads are arbitrary Python objects (tree nodes,
-counter blocks) — the cache is a *placement* model, not a byte store.
+Both are *placement* models, not byte stores.  Eviction returns the
+victim so callers can model writebacks.  Each set is an ``OrderedDict``
+whose insertion order is LRU order (``move_to_end`` on touch).
 """
 
 from __future__ import annotations
@@ -86,40 +87,23 @@ class CacheStats:
                 "hit_rate": round(self.hit_rate, 4)}
 
 
-class SetAssociativeCache:
-    """Set-associative LRU cache keyed by line address.
+class _SetGeometry:
+    """Sets, ways and the hit/miss/eviction/writeback counters that both
+    cache forms share.  ``size_bytes`` must be a positive multiple of
+    ``CACHE_LINE_SIZE * ways``; a line's set is
+    ``(line_addr >> 6) % num_sets`` (64 B lines)."""
 
-    Parameters
-    ----------
-    size_bytes:
-        Total capacity.  ``None`` makes the cache unbounded (used for the
-        BMF-ideal nvMC).
-    ways:
-        Associativity.  Ignored when unbounded.
-    line_size:
-        Line granularity (64 B everywhere in this system).
-    """
-
-    def __init__(self, size_bytes: int | None, ways: int = 8,
-                 line_size: int = CACHE_LINE_SIZE,
+    def __init__(self, size_bytes: int, ways: int = 8,
                  name: str = "cache",
                  stats: StatGroup | None = None) -> None:
+        if size_bytes <= 0 or size_bytes % (CACHE_LINE_SIZE * ways):
+            raise ConfigError(
+                f"cache size {size_bytes} not divisible by "
+                f"line_size*ways={CACHE_LINE_SIZE * ways}")
         self.name = name
-        self.line_size = line_size
-        self.unbounded = size_bytes is None
-        if self.unbounded:
-            self.num_sets = 1
-            self.ways = 0
-        else:
-            if size_bytes <= 0 or size_bytes % (line_size * ways):
-                raise ConfigError(
-                    f"cache size {size_bytes} not divisible by "
-                    f"line_size*ways={line_size * ways}")
-            self.ways = ways
-            self.num_sets = size_bytes // (line_size * ways)
-        # Each set is an OrderedDict: insertion order == LRU order,
-        # move_to_end on touch.
-        self._sets: list[OrderedDict[int, CacheLine]] = [
+        self.ways = ways
+        self.num_sets = size_bytes // (CACHE_LINE_SIZE * ways)
+        self._sets: list[OrderedDict] = [
             OrderedDict() for _ in range(self.num_sets)]
         group = stats or StatGroup(name)
         self.stat_group = group
@@ -130,20 +114,89 @@ class SetAssociativeCache:
         self.stats = CacheStats(self._hits, self._misses,
                                 self._evictions, self._writebacks)
 
-    # ------------------------------------------------------------------
-    def _set_of(self, line_addr: int) -> OrderedDict[int, CacheLine]:
-        return self._sets[(line_addr // self.line_size) % self.num_sets]
+    def __len__(self) -> int:
+        return sum(len(s) for s in self._sets)
 
-    def contains(self, line_addr: int) -> bool:
-        """Presence probe that does NOT update LRU or statistics."""
-        return line_addr in self._set_of(line_addr)
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        size = self.num_sets * self.ways * CACHE_LINE_SIZE
+        return (f"{type(self).__name__}({self.name}, {size}B, "
+                f"{len(self)} lines)")
+
+
+class TagCache(_SetGeometry):
+    """A tag-only level: each set maps a resident line address to its
+    dirty bit."""
+
+    def lookup(self, line_addr: int) -> bool:
+        """Access a line: updates LRU order and hit/miss statistics;
+        ``True`` on a hit."""
+        cache_set = self._sets[(line_addr >> 6) % self.num_sets]
+        if line_addr in cache_set:
+            cache_set.move_to_end(line_addr)
+            self._hits.value += 1
+            return True
+        self._misses.value += 1
+        return False
+
+    def peek(self, line_addr: int) -> bool | None:
+        """The dirty bit of a resident line, ``None`` if it is absent;
+        touches neither LRU order nor statistics."""
+        return self._sets[(line_addr >> 6) % self.num_sets].get(line_addr)
+
+    def mark(self, line_addr: int, dirty: bool) -> None:
+        """Set a resident line's dirty bit (store hit, clean on persist,
+        an inner level's write-back spill); an absent line stays absent.
+        Touches neither LRU order nor statistics."""
+        cache_set = self._sets[(line_addr >> 6) % self.num_sets]
+        if line_addr in cache_set:
+            cache_set[line_addr] = dirty
+
+    def insert(self, line_addr: int,
+               dirty: bool = False) -> tuple[int, bool] | None:
+        """Install a line, returning the evicted ``(addr, dirty)`` victim
+        (or ``None``).  A resident line is refreshed and keeps its dirty
+        bit, ORed with ``dirty``; a dirty victim counts a writeback the
+        caller must carry out."""
+        cache_set = self._sets[(line_addr >> 6) % self.num_sets]
+        if line_addr in cache_set:
+            if dirty:
+                cache_set[line_addr] = True
+            cache_set.move_to_end(line_addr)
+            return None
+        victim = None
+        if len(cache_set) >= self.ways:
+            victim = cache_set.popitem(last=False)
+            self._evictions.value += 1
+            if victim[1]:
+                self._writebacks.value += 1
+        cache_set[line_addr] = dirty
+        return victim
+
+    def invalidate(self, line_addr: int) -> bool | None:
+        """Drop a line without writeback accounting (inclusive
+        back-invalidation); returns its dirty bit, ``None`` if it was
+        absent."""
+        return self._sets[(line_addr >> 6) % self.num_sets].pop(
+            line_addr, None)
+
+    def drop_all(self) -> list[int]:
+        """Empty the level, returning its dirty line addresses (crash
+        handling: the caller decides what an eADR domain persists).
+        Empty sets, most of them at a crash, are skipped unvisited."""
+        dirty: list[int] = []
+        for cache_set in filter(None, self._sets):
+            dirty.extend(addr for addr, bit in cache_set.items() if bit)
+            cache_set.clear()
+        return dirty
+
+
+class SetAssociativeCache(_SetGeometry):
+    """The metadata cache: set-associative LRU over :class:`CacheLine`
+    objects that carry their node as payload."""
 
     def lookup(self, line_addr: int) -> CacheLine | None:
         """Access a line: updates LRU order and hit/miss statistics."""
-        # _set_of is inlined here and in peek/insert: one call frame per
-        # cache probe is measurable across four caches per access.
-        cache_set = self._sets[(line_addr // self.line_size)
-                               % self.num_sets]
+        cache_set = self._sets[(line_addr >> 6) % self.num_sets]
         line = cache_set.get(line_addr)
         if line is None:
             self._misses.value += 1
@@ -155,8 +208,7 @@ class SetAssociativeCache:
     def peek(self, line_addr: int) -> CacheLine | None:
         """Fetch without touching LRU or statistics (crash flushing,
         debugging)."""
-        return self._sets[(line_addr // self.line_size)
-                          % self.num_sets].get(line_addr)
+        return self._sets[(line_addr >> 6) % self.num_sets].get(line_addr)
 
     def insert(self, line_addr: int, payload: Any = None,
                dirty: bool = False) -> CacheLine | None:
@@ -167,8 +219,7 @@ class SetAssociativeCache:
         dirty victim increments the writeback counter — the caller is
         responsible for actually persisting it.
         """
-        cache_set = self._sets[(line_addr // self.line_size)
-                               % self.num_sets]
+        cache_set = self._sets[(line_addr >> 6) % self.num_sets]
         existing = cache_set.get(line_addr)
         if existing is not None:
             existing.payload = payload if payload is not None \
@@ -177,18 +228,13 @@ class SetAssociativeCache:
             cache_set.move_to_end(line_addr)
             return None
         victim = None
-        if not self.unbounded and len(cache_set) >= self.ways:
+        if len(cache_set) >= self.ways:
             _, victim = cache_set.popitem(last=False)
             self._evictions.value += 1
             if victim.dirty:
                 self._writebacks.value += 1
         cache_set[line_addr] = CacheLine(line_addr, dirty, payload)
         return victim
-
-    def invalidate(self, line_addr: int) -> CacheLine | None:
-        """Drop a line without writeback accounting; returns it if it was
-        resident."""
-        return self._set_of(line_addr).pop(line_addr, None)
 
     def drop_all(self) -> list[CacheLine]:
         """Empty the cache, returning every line that was resident (crash
@@ -205,16 +251,3 @@ class SetAssociativeCache:
         eADR)."""
         return [line for cache_set in self._sets
                 for line in cache_set.values() if line.dirty]
-
-    def resident_lines(self) -> list[CacheLine]:
-        """Every resident line (LRU order within sets)."""
-        return [line for cache_set in self._sets
-                for line in cache_set.values()]
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cap = "unbounded" if self.unbounded else \
-            f"{self.num_sets * self.ways * self.line_size}B"
-        return f"SetAssociativeCache({self.name}, {cap}, {len(self)} lines)"

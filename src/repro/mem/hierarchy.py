@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mem.cache import SetAssociativeCache
+from repro.mem.cache import TagCache
 from repro.obs import events as ev
 from repro.obs.recorder import NULL_RECORDER
 from repro.util.stats import StatGroup
@@ -73,53 +73,50 @@ class CacheHierarchy:
         group = stats or StatGroup("cpu_caches")
         self.stats = group
         cfg = self.config
-        self.l1 = SetAssociativeCache(cfg.l1_size, cfg.l1_ways, name="l1",
-                                      stats=group.child("l1"))
-        self.l2 = SetAssociativeCache(cfg.l2_size, cfg.l2_ways, name="l2",
-                                      stats=group.child("l2"))
-        self.l3 = SetAssociativeCache(cfg.l3_size, cfg.l3_ways, name="l3",
-                                      stats=group.child("l3"))
+        self.l1 = TagCache(cfg.l1_size, cfg.l1_ways, name="l1",
+                           stats=group.child("l1"))
+        self.l2 = TagCache(cfg.l2_size, cfg.l2_ways, name="l2",
+                           stats=group.child("l2"))
+        self.l3 = TagCache(cfg.l3_size, cfg.l3_ways, name="l3",
+                           stats=group.child("l3"))
         self._levels = (self.l1, self.l2, self.l3)
 
     # ------------------------------------------------------------------
-    def _spill(self, victim, outer: SetAssociativeCache) -> None:
+    def _spill(self, victim: tuple[int, bool] | None,
+               outer: TagCache) -> None:
         """Write-back spill: a dirty victim evicted from an inner level
         marks its (inclusive) copy in the next level dirty."""
-        if victim is None or not victim.dirty:
-            return
-        outer_line = outer.peek(victim.addr)
-        if outer_line is not None:
-            outer_line.dirty = True
+        if victim is not None and victim[1]:
+            outer.mark(victim[0], True)
 
     def _install(self, line_addr: int, dirty: bool) -> list[int]:
         """Install a line in all levels (inclusive fill); collect dirty
         lines that fall out of L3."""
         writebacks: list[int] = []
         # Fill outer-in so inner victims can spill into a present copy.
-        victim = self.l3.insert(line_addr, dirty=False)
-        victim2 = self.l2.insert(line_addr, dirty=False)
-        victim1 = self.l1.insert(line_addr, dirty=dirty)
+        victim = self.l3.insert(line_addr)
+        victim2 = self.l2.insert(line_addr)
+        victim1 = self.l1.insert(line_addr, dirty)
         self._spill(victim1, self.l2)
         self._spill(victim2, self.l3)
         if victim is not None:
             # Inclusive hierarchy: L3 eviction invalidates inner copies,
             # inheriting their dirtiness.
-            dirty_out = victim.dirty
+            addr, dirty_out = victim
             for inner in (self.l1, self.l2):
-                dropped = inner.invalidate(victim.addr)
-                if dropped is not None and dropped.dirty:
+                if inner.invalidate(addr):
                     dirty_out = True
             if dirty_out:
-                writebacks.append(victim.addr)
+                writebacks.append(addr)
                 if self.obs.enabled:
                     self.obs.instant(ev.EV_LLC_WRITEBACK, ev.TRACK_CPU,
-                                     addr=victim.addr)
+                                     addr=addr)
         return writebacks
 
     def load(self, line_addr: int) -> HierarchyResult:
         """A load instruction touching ``line_addr``."""
         for level, cache in enumerate(self._levels, start=1):
-            if cache.lookup(line_addr) is not None:
+            if cache.lookup(line_addr):
                 if level > 1:
                     # Promote into inner levels (no memory traffic).
                     if level > 2:
@@ -132,13 +129,12 @@ class CacheHierarchy:
     def store(self, line_addr: int) -> HierarchyResult:
         """A plain store: write-allocate, dirty in L1, surfaces at memory
         only via later eviction."""
-        line = self.l1.lookup(line_addr)
-        if line is not None:
-            line.dirty = True
+        if self.l1.lookup(line_addr):
+            self.l1.mark(line_addr, True)
             return HierarchyResult(False, [], 1)
         hit_level = 0
         for level, cache in ((2, self.l2), (3, self.l3)):
-            if cache.lookup(line_addr) is not None:
+            if cache.lookup(line_addr):
                 hit_level = level
                 break
         miss = hit_level == 0
@@ -150,9 +146,8 @@ class CacheHierarchy:
         and stays resident but clean."""
         hit_level = 0
         for level, cache in enumerate(self._levels, start=1):
-            line = cache.lookup(line_addr)
-            if line is not None:
-                line.dirty = False
+            if cache.lookup(line_addr):
+                cache.mark(line_addr, False)
                 if hit_level == 0:
                     hit_level = level
         writebacks: list[int] = []
@@ -167,7 +162,5 @@ class CacheHierarchy:
         eADR flush would persist)."""
         dirty: set[int] = set()
         for cache in self._levels:
-            for line in cache.drop_all():
-                if line.dirty:
-                    dirty.add(line.addr)
+            dirty.update(cache.drop_all())
         return sorted(dirty)

@@ -53,8 +53,8 @@ from repro.errors import (
     IntegrityError,
     SimulationError,
 )
-from repro.mem.address import CACHE_LINE_SIZE, AddressMap
-from repro.mem.cache import CacheLine, SetAssociativeCache
+from repro.mem.address import AddressMap
+from repro.mem.cache import CacheLine, SetAssociativeCache, TagCache
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.nvm import ZERO_LINE, NVMDevice
 from repro.mem.trace import AccessType
@@ -92,9 +92,9 @@ _SEAM_METHODS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("system", ("execute", "run", "crash", "result", "reset_stats")),
     ("hierarchy", ("load", "store", "persist", "drop_all", "_install",
                    "_spill")),
-    ("l1", ("lookup", "peek", "insert", "invalidate")),
-    ("l2", ("lookup", "peek", "insert", "invalidate")),
-    ("l3", ("lookup", "peek", "insert", "invalidate")),
+    ("l1", ("lookup", "peek", "mark", "insert", "invalidate")),
+    ("l2", ("lookup", "peek", "mark", "insert", "invalidate")),
+    ("l3", ("lookup", "peek", "mark", "insert", "invalidate")),
     ("controller", ("write_data", "read_data", "tick", "fetch_node",
                     "_fetch_chain", "_parent_counter_chain", "_install",
                     "_flush_node", "_on_leaf_persist", "_persist_node",
@@ -135,9 +135,9 @@ def ineligible_reason(system) -> str | None:
     # Exact component types: a subclass may override anything we inline.
     for label, obj, cls in (
             ("hierarchy", system.hierarchy, CacheHierarchy),
-            ("l1", system.hierarchy.l1, SetAssociativeCache),
-            ("l2", system.hierarchy.l2, SetAssociativeCache),
-            ("l3", system.hierarchy.l3, SetAssociativeCache),
+            ("l1", system.hierarchy.l1, TagCache),
+            ("l2", system.hierarchy.l2, TagCache),
+            ("l3", system.hierarchy.l3, TagCache),
             ("nvm", ctl.nvm, NVMDevice),
             ("wpq", ctl.wpq, WritePendingQueue),
             ("hash_engine", ctl.hash_engine, HashEngine),
@@ -162,17 +162,6 @@ def ineligible_reason(system) -> str | None:
         return "osiris persistence limit"
     if ctl.amap.tree_levels < 2:
         return "single-level tree"
-    if ctl.meta_cache.line_size != CACHE_LINE_SIZE:
-        return "non-standard metadata cache line size"
-    if ctl.meta_cache.unbounded:
-        return "unbounded metadata cache"
-    for label, cpu_cache in (("l1", system.hierarchy.l1),
-                             ("l2", system.hierarchy.l2),
-                             ("l3", system.hierarchy.l3)):
-        if cpu_cache.line_size != CACHE_LINE_SIZE:
-            return f"non-standard {label} line size"
-        if cpu_cache.unbounded:
-            return f"unbounded {label} cache"
     if ctl.parallel_hashing is not True:
         return "serial hash engine discipline"
     # Patched seams (the sanitizer patches instance attributes).
@@ -371,26 +360,34 @@ class EpochEngine:
                 hist.maximum = value
 
         # ---- the CPU cache hierarchy, inlined ------------------------
+        # Each set maps a resident line to its dirty bit (`TagCache`).
         EMPTY = ()
 
         def cpu_insert(sets, nsets, ways, evictions, writebacks, line,
                        dirty):
-            """`SetAssociativeCache.insert` for the tag-only CPU caches
-            (payload is always ``None``); returns the evicted victim."""
+            """`TagCache.insert`; returns the evicted ``(addr, dirty)``
+            victim."""
             cset = sets[(line >> 6) % nsets]
-            existing = cset.get(line)
-            if existing is not None:
-                existing.dirty = existing.dirty or dirty
+            if line in cset:
+                if dirty:
+                    cset[line] = True
                 cset.move_to_end(line)
                 return None
             victim = None
             if len(cset) >= ways:
-                _, victim = cset.popitem(last=False)
+                victim = cset.popitem(last=False)
                 evictions.value += 1
-                if victim.dirty:
+                if victim[1]:
                     writebacks.value += 1
-            cset[line] = CacheLine(line, dirty, None)
+            cset[line] = dirty
             return victim
+
+        def spill(sets, nsets, addr):
+            """`CacheHierarchy._spill` of a dirty victim: mark its
+            inclusive outer copy dirty, if it is resident."""
+            cset = sets[(addr >> 6) % nsets]
+            if addr in cset:
+                cset[addr] = True
 
         def cpu_install(line, dirty):
             """`CacheHierarchy._install`: inclusive outer-in fill with
@@ -403,27 +400,16 @@ class EpochEngine:
                                  l2_evictions, l2_wbs, line, False)
             victim1 = cpu_insert(l1_sets, l1_nsets, l1_ways,
                                  l1_evictions, l1_wbs, line, dirty)
-            # _spill: a dirty inner victim marks its inclusive outer copy.
-            if victim1 is not None and victim1.dirty:
-                spilled = l2_sets[(victim1.addr >> 6) % l2_nsets] \
-                    .get(victim1.addr)
-                if spilled is not None:
-                    spilled.dirty = True
-            if victim2 is not None and victim2.dirty:
-                spilled = l3_sets[(victim2.addr >> 6) % l3_nsets] \
-                    .get(victim2.addr)
-                if spilled is not None:
-                    spilled.dirty = True
+            if victim1 is not None and victim1[1]:
+                spill(l2_sets, l2_nsets, victim1[0])
+            if victim2 is not None and victim2[1]:
+                spill(l3_sets, l3_nsets, victim2[0])
             if victim is None:
                 return EMPTY
-            va = victim.addr
-            dirty_out = victim.dirty
-            dropped = l1_sets[(va >> 6) % l1_nsets].pop(va, None)
-            if dropped is not None and dropped.dirty:
-                dirty_out = True
-            dropped = l2_sets[(va >> 6) % l2_nsets].pop(va, None)
-            if dropped is not None and dropped.dirty:
-                dirty_out = True
+            # Back-invalidation: the inner copies' dirty bits OR in.
+            va, dirty_out = victim
+            dirty_out |= l1_sets[(va >> 6) % l1_nsets].pop(va, False)
+            dirty_out |= l2_sets[(va >> 6) % l2_nsets].pop(va, False)
             if dirty_out:
                 return (va,)
             return EMPTY
@@ -432,42 +418,33 @@ class EpochEngine:
             """`CacheHierarchy.load`; returns (miss_to_memory,
             writebacks)."""
             cset = l1_sets[(line >> 6) % l1_nsets]
-            if cset.get(line) is not None:
+            if line in cset:
                 cset.move_to_end(line)
                 l1_hits.value += 1
                 return False, EMPTY
             l1_misses.value += 1
             cset = l2_sets[(line >> 6) % l2_nsets]
-            if cset.get(line) is not None:
+            if line in cset:
                 cset.move_to_end(line)
                 l2_hits.value += 1
                 victim = cpu_insert(l1_sets, l1_nsets, l1_ways,
                                     l1_evictions, l1_wbs, line, False)
-                if victim is not None and victim.dirty:
-                    spilled = l2_sets[(victim.addr >> 6) % l2_nsets] \
-                        .get(victim.addr)
-                    if spilled is not None:
-                        spilled.dirty = True
+                if victim is not None and victim[1]:
+                    spill(l2_sets, l2_nsets, victim[0])
                 return False, EMPTY
             l2_misses.value += 1
             cset = l3_sets[(line >> 6) % l3_nsets]
-            if cset.get(line) is not None:
+            if line in cset:
                 cset.move_to_end(line)
                 l3_hits.value += 1
                 victim = cpu_insert(l2_sets, l2_nsets, l2_ways,
                                     l2_evictions, l2_wbs, line, False)
-                if victim is not None and victim.dirty:
-                    spilled = l3_sets[(victim.addr >> 6) % l3_nsets] \
-                        .get(victim.addr)
-                    if spilled is not None:
-                        spilled.dirty = True
+                if victim is not None and victim[1]:
+                    spill(l3_sets, l3_nsets, victim[0])
                 victim = cpu_insert(l1_sets, l1_nsets, l1_ways,
                                     l1_evictions, l1_wbs, line, False)
-                if victim is not None and victim.dirty:
-                    spilled = l2_sets[(victim.addr >> 6) % l2_nsets] \
-                        .get(victim.addr)
-                    if spilled is not None:
-                        spilled.dirty = True
+                if victim is not None and victim[1]:
+                    spill(l2_sets, l2_nsets, victim[0])
                 return False, EMPTY
             l3_misses.value += 1
             return True, cpu_install(line, False)
@@ -476,21 +453,20 @@ class EpochEngine:
             """`CacheHierarchy.store`; the miss flag is unused on the
             store path, so only the writebacks come back."""
             cset = l1_sets[(line >> 6) % l1_nsets]
-            cl = cset.get(line)
-            if cl is not None:
+            if line in cset:
                 cset.move_to_end(line)
                 l1_hits.value += 1
-                cl.dirty = True
+                cset[line] = True
                 return EMPTY
             l1_misses.value += 1
             cset = l2_sets[(line >> 6) % l2_nsets]
-            if cset.get(line) is not None:
+            if line in cset:
                 cset.move_to_end(line)
                 l2_hits.value += 1
             else:
                 l2_misses.value += 1
                 cset = l3_sets[(line >> 6) % l3_nsets]
-                if cset.get(line) is not None:
+                if line in cset:
                     cset.move_to_end(line)
                     l3_hits.value += 1
                 else:
@@ -503,29 +479,26 @@ class EpochEngine:
             a full miss."""
             hit = False
             cset = l1_sets[(line >> 6) % l1_nsets]
-            cl = cset.get(line)
-            if cl is not None:
+            if line in cset:
                 cset.move_to_end(line)
                 l1_hits.value += 1
-                cl.dirty = False
+                cset[line] = False
                 hit = True
             else:
                 l1_misses.value += 1
             cset = l2_sets[(line >> 6) % l2_nsets]
-            cl = cset.get(line)
-            if cl is not None:
+            if line in cset:
                 cset.move_to_end(line)
                 l2_hits.value += 1
-                cl.dirty = False
+                cset[line] = False
                 hit = True
             else:
                 l2_misses.value += 1
             cset = l3_sets[(line >> 6) % l3_nsets]
-            cl = cset.get(line)
-            if cl is not None:
+            if line in cset:
                 cset.move_to_end(line)
                 l3_hits.value += 1
-                cl.dirty = False
+                cset[line] = False
                 hit = True
             else:
                 l3_misses.value += 1

@@ -15,7 +15,6 @@ from repro.errors import ConfigError
 from repro.workloads.base import PersistentHeap, RecordedWorkload, TraceRecorder
 
 SLOT_BYTES = 16
-EMPTY = None
 
 
 class HashWorkload(RecordedWorkload):
@@ -39,14 +38,16 @@ class HashWorkload(RecordedWorkload):
         self.compute_per_op = compute_per_op
         self.prepopulate = prepopulate
         table_bytes = int(data_capacity * table_fraction)
-        # Cap the slot count so the functional shadow list stays cheap on
-        # huge simulated capacities; the address span still covers the
-        # requested fraction because slots map to SLOT_BYTES strides.
+        # The slot count is capped at 2**20: slots feed `_hash` and
+        # `slot_addr`, so the cap is part of every hash trace (and digest)
+        # on large simulated capacities, not a memory guard.
         self.slots = max(16, min(table_bytes // SLOT_BYTES, 1 << 20))
         heap = PersistentHeap(data_capacity)
         self._table = heap.alloc(self.slots * SLOT_BYTES, line_aligned=True)
-        # The functional table: slot -> key (layout decides addresses).
-        self._keys: list[int | None] = [EMPTY] * self.slots
+        # The functional table: occupied slot -> key (layout decides
+        # addresses).  A dict of occupied slots only, so the model grows
+        # with the keys a run inserts, not with the table's capacity.
+        self._keys: dict[int, int] = {}
 
     def slot_addr(self, slot: int) -> int:
         return self._table + slot * SLOT_BYTES
@@ -61,21 +62,22 @@ class HashWorkload(RecordedWorkload):
         slot = self._hash(key)
         while True:
             recorder.read(self.slot_addr(slot), SLOT_BYTES)
-            if self._keys[slot] is EMPTY or self._keys[slot] == key:
-                fresh = self._keys[slot] is EMPTY
+            held = self._keys.get(slot)
+            if held is None or held == key:
                 self._keys[slot] = key
                 recorder.compute(6)
                 recorder.persist(self.slot_addr(slot), SLOT_BYTES)
-                return fresh
+                return held is None
             slot = (slot + 1) % self.slots
 
     def _probe_lookup(self, recorder: TraceRecorder, key: int) -> bool:
         slot = self._hash(key)
         while True:
             recorder.read(self.slot_addr(slot), SLOT_BYTES)
-            if self._keys[slot] is EMPTY:
+            held = self._keys.get(slot)
+            if held is None:
                 return False
-            if self._keys[slot] == key:
+            if held == key:
                 return True
             slot = (slot + 1) % self.slots
 

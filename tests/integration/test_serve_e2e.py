@@ -9,7 +9,9 @@ Three flows, all through subprocesses and the public CLI/client:
   published schema;
 * SIGKILL the server mid-grid, restart it over the same store → the
   resumed submission computes only the cells the dead server never
-  durably finished.
+  durably finished;
+* a cell that times out fails alone: killing its worker does not stop
+  the server.
 """
 
 from __future__ import annotations
@@ -145,14 +147,15 @@ class TestColdWarmIdentity:
         assert payload["counts"]["cached"] == 4
 
 
-def _fake_server_script(root: Path, cell_fn: str) -> str:
+def _fake_server_script(root: Path, cell_fn: str,
+                        options: str = "") -> str:
     return textwrap.dedent(f"""
         import asyncio, sys
         sys.path[:0] = [{str(REPO_ROOT / 'src')!r}, {str(REPO_ROOT)!r}]
         from repro.serve.app import ServeConfig, run_server
         from tests.campaign._fakes import {cell_fn}
         config = ServeConfig(root={str(root)!r}, port=0, slots=2,
-                             backoff=0.01)
+                             backoff=0.01{options})
         asyncio.run(run_server(config, cell_fn={cell_fn}))
     """)
 
@@ -212,5 +215,33 @@ class TestKillRestartResume:
             # Only the missing cells ran, exactly once each.
             assert [invocations(cell) for cell in spec.cells] == \
                 [0, 1, 1]
+        finally:
+            _stop(proc)
+
+
+class TestCellTimeout:
+    def test_timed_out_cell_fails_and_the_server_stays_up(self, tmp_path):
+        """Killing a timed-out worker must not reach the server: a
+        worker forked from it inherits the event loop's signal wakeup
+        fd, so an unreset worker forwards its SIGTERM to the server's
+        own shutdown."""
+        root = tmp_path / "serve"
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             _fake_server_script(root, "sleeping_cell",
+                                 ", timeout=1.0, retries=0")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            url = _wait_for_server(root, proc)
+            from tests.campaign._fakes import fake_spec
+            client = ServeClient(url)
+            job = client.submit(fake_spec(1, group_prefix="t").to_dict())
+            done = client.wait(job["job_id"], timeout=60)
+            assert done["state"] == api.JOB_FAILED
+            [cell] = done["cells"]
+            assert "cell timed out after 1s" in cell["error"]
+            time.sleep(0.5)     # a forwarded SIGTERM stops it by now
+            assert proc.poll() is None, "the server exited"
+            assert client.health()
         finally:
             _stop(proc)

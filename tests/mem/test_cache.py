@@ -1,11 +1,12 @@
-"""The set-associative cache, including a hypothesis model check of LRU
-behaviour against a reference implementation."""
+"""The set-associative caches (the metadata cache's payload lines and
+the CPU levels' dirty-bit tags), including a hypothesis model check of
+LRU and dirty-bit behaviour against a reference implementation."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.mem.cache import SetAssociativeCache
+from repro.mem.cache import SetAssociativeCache, TagCache
 
 
 def small_cache(ways=2, sets=2) -> SetAssociativeCache:
@@ -21,12 +22,19 @@ class TestBasics:
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
 
-    def test_contains_does_not_touch_stats(self):
+    def test_peek_and_mark_do_not_touch_stats(self):
         cache = small_cache()
         cache.insert(0)
-        cache.contains(0)
-        cache.contains(64)
+        cache.peek(0)
+        cache.peek(64)
         assert cache.stats.accesses == 0
+        tags = TagCache(64 * 2 * 2, ways=2)
+        tags.insert(0)
+        tags.mark(0, True)
+        tags.mark(64, True)     # absent: stays absent
+        assert tags.peek(0) is True
+        assert tags.peek(64) is None
+        assert tags.stats.accesses == 0
 
     def test_peek_does_not_touch_lru(self):
         cache = small_cache(ways=2, sets=1)
@@ -95,11 +103,15 @@ class TestEviction:
         assert victim is None
 
     def test_invalidate(self):
-        cache = small_cache()
-        cache.insert(0)
-        assert cache.invalidate(0).addr == 0
+        # Only the CPU levels back-invalidate (inclusive L3 evictions).
+        cache = TagCache(64 * 2 * 2, ways=2)
+        cache.insert(0, dirty=True)
+        cache.insert(64)
+        assert cache.invalidate(0) is True     # the dropped dirty bit
+        assert cache.invalidate(64) is False
         assert cache.peek(0) is None
         assert cache.invalidate(0) is None
+        assert cache.stats.writebacks == 0
 
 
 class TestStatsSingleSource:
@@ -155,65 +167,61 @@ class TestBulkOperations:
         cache.insert(64, dirty=False)
         assert [line.addr for line in cache.dirty_lines()] == [0]
 
-    def test_resident_lines(self):
-        cache = small_cache(ways=2, sets=2)
-        cache.insert(0)
-        cache.insert(64)
-        assert {line.addr for line in cache.resident_lines()} == {0, 64}
-
-
-class TestUnbounded:
-    def test_never_evicts(self):
-        cache = SetAssociativeCache(None)
-        for i in range(1000):
-            assert cache.insert(i * 64) is None
-        assert len(cache) == 1000
-
-    def test_hits_after_many_inserts(self):
-        cache = SetAssociativeCache(None)
-        cache.insert(0)
-        for i in range(1, 500):
-            cache.insert(i * 64)
-        assert cache.lookup(0) is not None
+    def test_tag_drop_all_returns_dirty_addresses(self):
+        cache = TagCache(64 * 2 * 2, ways=2)
+        for addr, dirty in ((0, True), (64, False), (128, True)):
+            cache.insert(addr, dirty)
+        assert sorted(cache.drop_all()) == [0, 128]
+        assert len(cache) == 0
 
 
 class TestLRUModelCheck:
-    """Drive the cache and a reference fully-associative-per-set model
-    with the same operations; behaviour must match exactly."""
+    """Drive both cache forms and a reference fully-associative-per-set
+    model with the same operations; behaviour must match exactly.  Each
+    operation carries a dirty flag: an insert's ``dirty`` argument, or a
+    store on a lookup hit.  A victim's dirty bit must be the OR of the
+    stores made since its line was installed."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(st.integers(0, 15), st.booleans()),
+    @given(st.lists(st.tuples(st.integers(0, 15), st.booleans(),
+                              st.booleans()),
                     min_size=1, max_size=200))
     def test_against_reference(self, ops):
         ways, sets = 2, 2
-        cache = small_cache(ways=ways, sets=sets)
-        model: list[list[int]] = [[] for _ in range(sets)]  # MRU at end
+        lines = small_cache(ways=ways, sets=sets)
+        tags = TagCache(64 * ways * sets, ways=ways)
+        # Per set: [addr, dirty] pairs, MRU at the end.
+        model: list[list[list]] = [[] for _ in range(sets)]
 
-        for slot, is_insert in ops:
+        for slot, is_insert, dirty in ops:
             addr = slot * 64
-            set_id = slot % sets
-            mru = model[set_id]
+            mru = model[slot % sets]
+            entry = next((e for e in mru if e[0] == addr), None)
+            if entry is not None:
+                mru.remove(entry)
+                mru.append(entry)
             if is_insert:
-                victim = cache.insert(addr)
-                if addr in mru:
-                    mru.remove(addr)
-                    mru.append(addr)
-                    assert victim is None
+                victims = (lines.insert(addr, dirty=dirty),
+                           tags.insert(addr, dirty))
+                expected = None
+                if entry is not None:
+                    entry[1] = entry[1] or dirty
                 else:
-                    expected_victim = None
                     if len(mru) >= ways:
-                        expected_victim = mru.pop(0)
-                    mru.append(addr)
-                    if expected_victim is None:
-                        assert victim is None
-                    else:
-                        assert victim is not None
-                        assert victim.addr == expected_victim
-            else:
-                line = cache.lookup(addr)
-                if addr in mru:
-                    assert line is not None
-                    mru.remove(addr)
-                    mru.append(addr)
+                        expected = tuple(mru.pop(0))
+                    mru.append([addr, dirty])
+                line_victim, tag_victim = victims
+                if expected is None:
+                    assert line_victim is None and tag_victim is None
                 else:
-                    assert line is None
+                    assert (line_victim.addr, line_victim.dirty) == expected
+                    assert tag_victim == expected
+            else:
+                line = lines.lookup(addr)
+                hit = tags.lookup(addr)
+                assert (line is not None) == hit == (entry is not None)
+                if hit and dirty:       # a store hit
+                    line.dirty = True
+                    tags.mark(addr, True)
+                    entry[1] = True
+        assert lines.stats.to_dict() == tags.stats.to_dict()

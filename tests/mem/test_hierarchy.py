@@ -56,7 +56,7 @@ class TestStores:
     def test_store_dirties_line(self):
         h = tiny_hierarchy()
         h.store(0)
-        assert h.l1.peek(0).dirty
+        assert h.l1.peek(0) is True
 
 
 class TestPersist:
@@ -64,15 +64,14 @@ class TestPersist:
         h = tiny_hierarchy()
         h.store(0)
         h.persist(0)
-        assert not h.l1.peek(0).dirty
+        assert h.l1.peek(0) is False
 
     def test_persist_cleans_all_levels(self):
         h = tiny_hierarchy()
         h.store(0)
         h.persist(0)
         for cache in (h.l1, h.l2, h.l3):
-            line = cache.peek(0)
-            assert line is None or not line.dirty
+            assert not cache.peek(0)    # absent (None) or clean
 
     def test_persist_miss_installs(self):
         h = tiny_hierarchy()
@@ -114,11 +113,7 @@ class TestWritebacks:
         h.store(0)               # dirty in L1 (set 0)
         h.load(128)              # conflicts in L1 set 0
         h.load(256)              # evicts line 0 from L1 -> spills to L2
-        l2_line = h.l2.peek(0)
-        l1_line = h.l1.peek(0)
-        assert (l1_line is not None and l1_line.dirty) or \
-            (l2_line is not None and l2_line.dirty) or \
-            (h.l3.peek(0) is not None and h.l3.peek(0).dirty)
+        assert h.l1.peek(0) or h.l2.peek(0) or h.l3.peek(0)
 
 
 class TestCrash:

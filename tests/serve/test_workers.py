@@ -7,6 +7,8 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import signal
+import socket
 import threading
 import time
 
@@ -153,6 +155,32 @@ class TestRunCellParity:
         assert time.perf_counter() - started < 5.0
         assert retried == [1]
         assert "halted" in str(failure[0])
+
+    def test_a_killed_worker_never_signals_through_its_parent(
+            self, scratch):
+        """A server's event loop turns SIGTERM into a byte on a wakeup
+        fd, which a forked worker inherits.  Killing a timed-out worker
+        must write nothing there, even when the kill lands before the
+        worker has run at all (a 1 ms timeout)."""
+        reader, writer = socket.socketpair()
+        reader.setblocking(False)
+        writer.setblocking(False)
+        previous_fd = signal.set_wakeup_fd(writer.fileno())
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        try:
+            for _ in range(5):
+                with pytest.raises(CampaignError, match="timed out"):
+                    run_cell(fake_cells(1)[0], cell_fn=sleeping_cell,
+                             timeout=0.001, retries=0)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            signal.set_wakeup_fd(previous_fd)
+        try:
+            with pytest.raises(BlockingIOError):
+                reader.recv(16)
+        finally:
+            reader.close()
+            writer.close()
 
     def test_zero_retries_single_attempt(self, scratch):
         cell = fake_cells(1)[0]

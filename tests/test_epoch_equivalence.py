@@ -21,6 +21,10 @@ halves of that promise:
   writeback opens its window with no CPU stall);
 * PLP with a 2-way metadata cache evicts dirty ancestors and still
   digests identically: no other test runs the epoch engine's PLP flush;
+* the CPU caches' dirty bits are the epoch engine's to write: a line
+  kept dirty only in L1 is written back when L3 evicts it, and an eADR
+  crash after a store-heavy run flushes the same dirty lines and
+  digests identically, whichever engine filled the caches;
 * under write-through, baseline and BMF-ideal never flush, even from a
   direct-mapped cache, and a dirty BMF-ideal victim (which cannot
   happen) makes the epoch engine raise;
@@ -169,6 +173,57 @@ class TestEngineEquivalence:
         assert result_digest(results[0]) == result_digest(results[1])
 
 
+def back_invalidation_trace() -> list[MemoryAccess]:
+    """Line 0 stays dirty in L1 (a store hit after every load) while
+    eight loads to its set evict it from L3 and L2, where it is clean:
+    only the L1 copy's dirty bit, ORed in by back-invalidation, makes
+    the writeback.  ``small_config``'s L1 and L3 both have 32 sets."""
+    stride = 32 * 64
+    trace = [MemoryAccess(AccessType.WRITE, 0)]
+    for i in range(1, 9):
+        trace += [MemoryAccess(AccessType.READ, i * stride),
+                  MemoryAccess(AccessType.WRITE, 0)]
+    return trace
+
+
+class TestCpuCacheDirtyBits:
+    """The epoch engine writes the CPU caches' dirty bits; the scalar
+    hierarchy and ``drop_all`` read them."""
+
+    def test_back_invalidation_writes_back_an_inner_dirty_line(self):
+        hierarchy = build_system("scue").hierarchy
+        writebacks = []
+        for access in back_invalidation_trace():
+            step = hierarchy.store if access.kind is AccessType.WRITE \
+                else hierarchy.load
+            writebacks += step(access.addr).writebacks
+        assert writebacks == [0]
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_back_invalidated_writeback_digests_identically(self, scheme):
+        results = [run_trace(scheme, back_invalidation_trace(), engine)
+                   .result("back-invalidation")
+                   for engine in ("scalar", "epoch")]
+        assert result_digest(results[0]) == result_digest(results[1])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_crash_flushes_the_same_dirty_lines(self, scheme):
+        trace = store_heavy_trace(600, seed=5)
+        runs = []
+        for engine in ("scalar", "epoch"):
+            system = run_trace(scheme, trace, engine, eadr=True)
+            flushed = system.hierarchy.drop_all()
+            # System.crash() drops the caches itself: hand it the lines
+            # just taken (patched after the run, so no engine sees it).
+            system.hierarchy.drop_all = lambda lines=flushed: lines
+            system.crash()
+            runs.append((flushed, result_digest(system.result("eadr"))))
+        (scalar_lines, scalar_digest), (epoch_lines, epoch_digest) = runs
+        assert scalar_lines, "the trace left no dirty line to flush"
+        assert scalar_lines == epoch_lines
+        assert scalar_digest == epoch_digest
+
+
 class TestWriteThroughNeverFlushes:
     """Baseline and BMF-ideal cache only leaves, and write-through
     persists each leaf as it is written, so no metadata-cache victim is
@@ -202,8 +257,10 @@ class TestWriteThroughNeverFlushes:
         system = build_system("bmf-ideal", "scalar", metadata_cache_size=256,
                               metadata_cache_ways=1)
         system.run(iter(trace[:100]))
-        for line in system.controller.meta_cache.resident_lines():
-            line.dirty = True
+        # Re-insert every resident line dirty, in LRU order per set.
+        meta_cache = system.controller.meta_cache
+        for line in meta_cache.drop_all():
+            meta_cache.insert(line.addr, line.payload, dirty=True)
         with pytest.raises(SimulationError, match="dirty BMF-ideal"):
             epoch.EpochEngine(system).run(iter(trace[100:]))
 

@@ -1,6 +1,8 @@
 """The five persistent data-structure workloads: functional correctness
 of the structures themselves plus the shape of the traces they emit."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -99,8 +101,19 @@ class TestHash:
                                 table_fraction=0.02, insert_bias=1.0,
                                 max_load_factor=0.5)
         list(workload.trace())
-        live = sum(1 for k in workload._keys if k is not None)
+        live = len(workload._keys)    # occupied slots only
         assert live <= int(workload.slots * 0.5) + 1
+
+    def test_footprint_follows_keys_not_capacity(self):
+        """A 256 MiB table has 2**20 slots; recording 1,500 keys into it
+        must not allocate a shadow entry per slot (8 MiB as a list)."""
+        tracemalloc.start()
+        try:
+            HashWorkload(256 * 1024 * 1024, 300, prepopulate=1200).record()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 class TestBTree:
