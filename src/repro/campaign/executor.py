@@ -1,17 +1,16 @@
 """The campaign executor: run a declared cell grid, resumably.
 
-Two execution paths share all bookkeeping:
+Two modes share all bookkeeping:
 
 * ``jobs == 1`` — the graceful serial fallback: cells run in-process in
   spec order, exceptions optionally propagate unchanged (``fail_fast``),
   nothing forks.  This is the path unit tests and the classic
   ``run_matrix`` call take, so parallelism can never perturb them.
-* ``jobs > 1`` — a process-per-cell pool (``fork`` start method where
-  available): up to ``jobs`` workers run concurrently, each executes one
-  cell and ships the pickled :class:`~repro.sim.results.RunResult` back
-  over a queue.  The parent enforces a per-cell ``timeout`` (hung
-  workers are killed), retries transient worker deaths and cell errors
-  with exponential backoff, and keeps the manifest current after every
+* ``jobs > 1`` — up to ``jobs`` threads each run one cell at a time
+  through :func:`run_cell`, the one supervisor of a forked cell (which
+  ``repro-sim serve`` calls too): a per-cell ``timeout`` kills hung
+  workers, transient worker deaths and cell errors are retried with
+  exponential backoff, and the manifest is kept current after every
   transition — so ``kill -9`` of the whole campaign loses at most the
   cells in flight.
 
@@ -36,6 +35,7 @@ import traceback
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from repro.campaign.cache import ResultCache, cell_key
@@ -265,23 +265,82 @@ def _run_serial(state: _Bookkeeper, pending: list[int], retries: int,
 
 
 # ======================================================================
-# Parallel path
-#
-# One *private pipe per worker*, never a shared queue.  A shared
-# multiprocessing.Queue serialises puts through one cross-process lock;
-# killing a worker (timeout enforcement) in the window where it holds
-# that lock would leak the semaphore and deadlock every later put.
-# With per-worker pipes a kill can only ever poison the victim's own
-# channel, which the parent is about to discard anyway.
+# Parallel path: supervisor threads over run_cell
 # ======================================================================
-@dataclass
-class _Running:
-    proc: multiprocessing.Process
-    conn: "multiprocessing.connection.Connection"
-    deadline: float | None
-    started: float
+def _run_parallel(state: _Bookkeeper, pending_ids: list[int], jobs: int,
+                  timeout: float | None, retries: int, backoff: float,
+                  fail_fast: bool, cell_fn: CellFn) -> None:
+    """Threads that take the next pending cell and record its outcome
+    under one lock, sharing one :class:`WorkerSet`.  The first permanent
+    failure under ``fail_fast``, an error in a thread or an interrupt
+    halts the set: the workers in flight die, their cells stay
+    ``running``, no further cell starts, and the first error is raised
+    here."""
+    lock = threading.Lock()
+    pending: deque[int] = deque(pending_ids)
+    workers = WorkerSet()
+    raised: list[Exception] = []
+
+    def halt(exc: Exception) -> None:
+        if not raised:
+            raised.append(exc)
+        workers.halt()
+
+    def note_retry(index: int, attempt: int, error: str) -> None:
+        with lock:
+            state.note_retry(index, attempt, error)
+
+    def supervise() -> None:
+        try:
+            while True:
+                with lock:
+                    if not pending or workers.halted:
+                        return
+                    index = pending.popleft()
+                    state.mark_running(index)
+                try:
+                    outcome = run_cell(
+                        state.spec.cells[index], cell_fn=cell_fn,
+                        timeout=timeout, retries=retries, backoff=backoff,
+                        on_retry=partial(note_retry, index),
+                        workers=workers)
+                except CampaignError as exc:
+                    if not exc.error:
+                        return      # stopped by a halt: stays running
+                    with lock:
+                        state.mark_failed(index, exc.error)
+                        if fail_fast:
+                            halt(exc)
+                    continue
+                with lock:
+                    state.mark_done(index, outcome.result,
+                                    outcome.wall_time)
+        except Exception as exc:
+            with lock:
+                halt(exc)
+
+    threads = [threading.Thread(target=supervise, daemon=True)
+               for _ in range(min(jobs, len(pending)))]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        # A no-op once every thread has ended; after an interrupt it
+        # kills the workers in flight, and their threads end at once.
+        workers.halt()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if raised:
+        raise raised[0]
 
 
+# ======================================================================
+# The cell supervisor: run_cell is the only code that forks and
+# supervises a cell, for parallel campaigns and ``repro.serve`` alike.
+# ======================================================================
 #: Signals a worker must not handle the way its parent does.
 _WORKER_SIGNALS = {signal.SIGTERM, signal.SIGINT}
 
@@ -327,132 +386,6 @@ def _mp_context():
         "fork" if "fork" in methods else None)
 
 
-def _run_parallel(state: _Bookkeeper, pending_ids: list[int], jobs: int,
-                  timeout: float | None, retries: int, backoff: float,
-                  fail_fast: bool, cell_fn: CellFn) -> None:
-    ctx = _mp_context()
-    pending: deque[int] = deque(pending_ids)
-    delayed: list[tuple[float, int]] = []   # (ready-at, index)
-    running: dict[int, _Running] = {}
-    attempts: dict[int, int] = {}
-    abort: CampaignError | None = None
-
-    def launch(index: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(state.spec.cells[index], cell_fn, child_conn),
-            daemon=True)
-        _start_worker(proc)
-        child_conn.close()      # parent's copy; child keeps its own
-        now = time.monotonic()
-        running[index] = _Running(
-            proc, parent_conn, now + timeout if timeout else None, now)
-        state.mark_running(index)
-
-    def reap(index: int, kill: bool) -> None:
-        run = running.pop(index, None)
-        if run is None:
-            return
-        if kill and run.proc.is_alive():
-            run.proc.terminate()
-            run.proc.join(1.0)
-            if run.proc.is_alive():
-                run.proc.kill()
-        run.proc.join(5.0)
-        run.conn.close()
-
-    def retry_or_fail(index: int, error: str, kill: bool) -> None:
-        nonlocal abort
-        reap(index, kill=kill)
-        attempts[index] = attempts.get(index, 0) + 1
-        if attempts[index] <= retries:
-            state.note_retry(index, attempts[index], error)
-            delayed.append(
-                (time.monotonic()
-                 + _backoff_delay(backoff, attempts[index]), index))
-            return
-        state.mark_failed(index, error)
-        if fail_fast and abort is None:
-            record = state.record(index)
-            abort = CampaignError(
-                f"cell {record.cell_id} failed after "
-                f"{attempts[index]} attempt(s): {_last_line(error)}")
-
-    def deliver(index: int, run: _Running) -> None:
-        """The worker's pipe has data: accept its one message."""
-        try:
-            kind, payload, wall_time = run.conn.recv()
-        except (EOFError, OSError) as exc:
-            retry_or_fail(index, f"worker channel broke: {exc!r}",
-                          kill=True)
-            return
-        # The worker sent its message and is exiting on its own —
-        # join it, never signal it (a kill mid-exit could, on other
-        # designs, strand shared state; here it is simply pointless).
-        reap(index, kill=False)
-        if kind == "ok":
-            state.mark_done(index, payload, wall_time)
-        else:
-            retry_or_fail(index, payload, kill=False)
-
-    try:
-        while (pending or delayed or running) and abort is None:
-            now = time.monotonic()
-            ready = [item for item in delayed if item[0] <= now]
-            for item in ready:
-                delayed.remove(item)
-                pending.append(item[1])
-            while pending and len(running) < jobs and abort is None:
-                launch(pending.popleft())
-            if running:
-                # Sleep until a result arrives or a worker exits.
-                waitables: list = [run.conn for run in running.values()]
-                waitables += [run.proc.sentinel
-                              for run in running.values()]
-                multiprocessing.connection.wait(waitables, timeout=0.1)
-            elif delayed:       # everyone is backing off
-                time.sleep(min(0.05, max(
-                    0.0, min(t for t, _ in delayed) - now)))
-                continue
-            now = time.monotonic()
-            for index, run in list(running.items()):
-                if run.conn.poll():
-                    deliver(index, run)
-                elif run.deadline is not None and now > run.deadline:
-                    retry_or_fail(
-                        index,
-                        f"cell timed out after {timeout:g}s "
-                        f"(attempt killed)", kill=True)
-                elif not run.proc.is_alive():
-                    # Exited with an empty pipe: genuine worker death
-                    # (the exit machinery flushes the pipe first, so a
-                    # sent result would have been visible above).
-                    if run.conn.poll():
-                        deliver(index, run)
-                    else:
-                        retry_or_fail(
-                            index,
-                            f"worker died without reporting "
-                            f"(exit code {run.proc.exitcode})",
-                            kill=False)
-    finally:
-        for index in list(running):
-            reap(index, kill=True)
-    if abort is not None:
-        raise abort
-
-
-# ======================================================================
-# Single-cell seam
-#
-# ``repro.serve`` schedules cells one at a time from an asyncio worker
-# pool, but its per-cell semantics must stay identical to a parallel
-# campaign's: same worker entry point, same fork context, same
-# timeout-kill behaviour, same transient-death retry budget and the
-# same exponential backoff curve.  Routing the service through this
-# function (instead of a reimplementation) is what guarantees that.
-# ======================================================================
 @dataclass(frozen=True)
 class CellOutcome:
     """What one supervised cell execution produced."""
@@ -464,9 +397,10 @@ class CellOutcome:
 
 class WorkerSet:
     """The live worker processes of the :func:`run_cell` calls sharing
-    this set, so that a scheduler can stop without waiting out its
-    cells.  After :meth:`halt`, each of those calls fails at once
-    instead of retrying its killed worker."""
+    this set (a parallel campaign's, or a serve scheduler's), so that
+    their owner can stop without waiting out its cells.  After
+    :meth:`halt`, each of those calls fails at once instead of retrying
+    its killed worker."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -514,15 +448,18 @@ def run_cell(cell: CellSpec, *,
              ) -> CellOutcome:
     """Run one cell in a supervised worker process, with retries.
 
-    This is the parallel path's per-cell contract extracted for callers
-    that schedule cells themselves (the ``repro.serve`` worker pool):
-    ``retries`` defaults to the parallel default (2 — worker death can
-    be transient), a ``timeout`` kills the attempt's process, and
-    failed attempts back off with :func:`_backoff_delay`.  ``on_retry``
-    is called as ``(attempt, error)`` before each backoff sleep.
-    Raises :class:`CampaignError` with the parallel path's message
-    shape once the retry budget is spent, and at once, without a retry,
-    when ``workers`` is halted.
+    ``retries`` defaults to 2 (worker death can be transient), a
+    ``timeout`` kills the attempt's process, and failed attempts back
+    off with :func:`_backoff_delay`, holding the caller's slot.
+    ``on_retry`` is called as ``(attempt, error)`` before each backoff
+    sleep.  Raises :class:`CampaignError` once the retry budget is
+    spent, its ``error`` the last attempt's full text, and at once,
+    with no retry and an empty ``error``, when ``workers`` is halted.
+
+    Each worker reports on a *private pipe*, never a shared queue: a
+    ``multiprocessing.Queue`` serialises puts through one cross-process
+    lock, and a worker killed while holding it would deadlock every
+    later put.  A kill can only poison the victim's own pipe.
     """
     if retries is None:
         retries = 2
@@ -584,7 +521,7 @@ def run_cell(cell: CellSpec, *,
         if attempts > retries:
             raise CampaignError(
                 f"cell {cell.cell_id} failed after {attempts} "
-                f"attempt(s): {_last_line(error)}")
+                f"attempt(s): {_last_line(error)}", error)
         if on_retry is not None:
             on_retry(attempts, error)
         workers.sleep(_backoff_delay(backoff, attempts))

@@ -61,7 +61,12 @@ class CampaignError(ReproError):
     """An experiment campaign could not complete: a cell failed past its
     retry budget, a worker pool collapsed, or a manifest/cache file is
     structurally unusable.  Per-cell failures inside a non-``fail_fast``
-    campaign are *recorded*, not raised."""
+    campaign are *recorded*, not raised.  ``error`` holds a failed
+    cell's last attempt in full (the message keeps its last line)."""
+
+    def __init__(self, message: str, error: str = "") -> None:
+        super().__init__(message)
+        self.error = error
 
 
 class ObservabilityError(SimulationError):

@@ -143,13 +143,16 @@ class TagCache(_SetGeometry):
         touches neither LRU order nor statistics."""
         return self._sets[(line_addr >> 6) % self.num_sets].get(line_addr)
 
-    def mark(self, line_addr: int, dirty: bool) -> None:
+    def mark(self, line_addr: int, dirty: bool) -> bool:
         """Set a resident line's dirty bit (store hit, clean on persist,
         an inner level's write-back spill); an absent line stays absent.
-        Touches neither LRU order nor statistics."""
+        Returns whether the line was resident.  Touches neither LRU
+        order nor statistics."""
         cache_set = self._sets[(line_addr >> 6) % self.num_sets]
         if line_addr in cache_set:
             cache_set[line_addr] = dirty
+            return True
+        return False
 
     def insert(self, line_addr: int,
                dirty: bool = False) -> tuple[int, bool] | None:

@@ -83,11 +83,16 @@ class CacheHierarchy:
 
     # ------------------------------------------------------------------
     def _spill(self, victim: tuple[int, bool] | None,
-               outer: TagCache) -> None:
+               *outers: TagCache) -> bool:
         """Write-back spill: a dirty victim evicted from an inner level
-        marks its (inclusive) copy in the next level dirty."""
-        if victim is not None and victim[1]:
-            outer.mark(victim[0], True)
+        marks the first of ``outers`` holding it dirty; ``True`` if none
+        does, so the victim itself must be written back."""
+        if victim is None or not victim[1]:
+            return False
+        for outer in outers:
+            if outer.mark(victim[0], True):
+                return False
+        return True
 
     def _install(self, line_addr: int, dirty: bool) -> list[int]:
         """Install a line in all levels (inclusive fill); collect dirty
@@ -97,8 +102,10 @@ class CacheHierarchy:
         victim = self.l3.insert(line_addr)
         victim2 = self.l2.insert(line_addr)
         victim1 = self.l1.insert(line_addr, dirty)
-        self._spill(victim1, self.l2)
-        self._spill(victim2, self.l3)
+        # L2 does not back-invalidate L1.  L3 is inclusive, so a victim
+        # no outer level holds is the line just evicted from L3.
+        lost = self._spill(victim1, self.l2, self.l3)
+        lost |= self._spill(victim2, self.l3)
         if victim is not None:
             # Inclusive hierarchy: L3 eviction invalidates inner copies,
             # inheriting their dirtiness.
@@ -106,7 +113,7 @@ class CacheHierarchy:
             for inner in (self.l1, self.l2):
                 if inner.invalidate(addr):
                     dirty_out = True
-            if dirty_out:
+            if dirty_out or lost:
                 writebacks.append(addr)
                 if self.obs.enabled:
                     self.obs.instant(ev.EV_LLC_WRITEBACK, ev.TRACK_CPU,
@@ -119,9 +126,11 @@ class CacheHierarchy:
             if cache.lookup(line_addr):
                 if level > 1:
                     # Promote into inner levels (no memory traffic).
+                    # L3 keeps its copies, so no spill is lost.
                     if level > 2:
                         self._spill(self.l2.insert(line_addr), self.l3)
-                    self._spill(self.l1.insert(line_addr), self.l2)
+                    self._spill(self.l1.insert(line_addr), self.l2,
+                                self.l3)
                 return HierarchyResult(False, [], level)
         writebacks = self._install(line_addr, dirty=False)
         return HierarchyResult(True, writebacks, 0)

@@ -414,32 +414,24 @@ class SecureMemoryController(ABC):
         return parent.counter(slot), latency if charge else 0
 
     def _update_parent_counter(self, level: int, index: int,
-                               set_to: int | None, bump_by: int | None,
-                               cycle: int, charge: bool) -> int:
-        """Update the parent counter of node ``(level, index)``: either
-        overwrite it (counter-summing) or bump it (lazy +1).  Top-level
-        nodes update the Running_root register instead.  Returns the
-        critical-path latency when ``charge`` is true."""
+                               set_to: int) -> None:
+        """Overwrite the parent counter of node ``(level, index)`` with
+        ``set_to`` (counter-summing), off the critical path: the parent
+        fetch costs the caller nothing.  Top-level nodes set the
+        Running_root register instead."""
         slot = self.amap.parent_slot(index)
         if level + 1 >= self.amap.tree_levels:
-            if set_to is not None:
-                self.running_root.set(slot, set_to)
-            else:
-                self.running_root.add(slot, bump_by or 1)
+            self.running_root.set(slot, set_to)
             if self.obs.enabled:
                 self.obs.instant(ev.EV_ROOT_UPDATE, ev.TRACK_ROOT,
                                  register="running_root", slot=slot,
-                                 on_critical_path=charge)
-            return REGISTER_UPDATE_CYCLES if charge else 0
+                                 on_critical_path=False)
+            return
         plevel, pindex = self.amap.parent_coords(level, index)
-        parent, latency = self.fetch_node(plevel, pindex, charge=charge)
+        parent, _ = self.fetch_node(plevel, pindex, charge=False)
         expect_node(parent, SITNode, f"{self.name}: parent update")
-        if set_to is not None:
-            parent.set_counter(slot, set_to)
-        else:
-            parent.bump_counter(slot, bump_by or 1)
+        parent.set_counter(slot, set_to)
         self._mark_dirty(parent)
-        return latency if charge else 0
 
     def drain_pending(self, cycle: int) -> int:
         """Collect the eviction cycles accumulated by synchronous flushes

@@ -127,9 +127,8 @@ class SCUEController(SecureMemoryController):
         # 4. Parent update off the critical path (§IV-A2): the branch is
         #    read and the parent counter set to the dummy.  It completes
         #    before the next operation (ordering), but its reads and
-        #    hashes cost the write nothing (charge=False).
-        self._update_parent_counter(0, leaf_index, set_to=dummy,
-                                    bump_by=None, cycle=cycle, charge=False)
+        #    hashes cost the write nothing (an uncharged fetch).
+        self._update_parent_counter(0, leaf_index, set_to=dummy)
         if self.obs.enabled:
             self.obs.instant(ev.EV_ROOT_UPDATE, ev.TRACK_ROOT,
                              register="recovery_root", shortcut=True,
@@ -160,8 +159,7 @@ class SCUEController(SecureMemoryController):
         leaf.seal(self.mac, self.amap.counter_block_addr(leaf_index), dummy)
         hash_latency = self.hash_engine.charge(1)
         wpq_stall = self._persist_node(leaf, cycle)
-        self._update_parent_counter(0, leaf_index, set_to=dummy,
-                                    bump_by=None, cycle=cycle, charge=False)
+        self._update_parent_counter(0, leaf_index, set_to=dummy)
         if self.obs.enabled:
             self.obs.instant(ev.EV_LEAF_PERSIST, ev.TRACK_CTL,
                              scheme=self.name, leaf=leaf_index,
@@ -183,8 +181,7 @@ class SCUEController(SecureMemoryController):
         wpq_stall = self._persist_node(node, cycle)
         # Counter-summing update of the parent (Running_root for top-level
         # nodes), again ordered-but-unbilled.
-        self._update_parent_counter(level, index, set_to=dummy,
-                                    bump_by=None, cycle=cycle, charge=False)
+        self._update_parent_counter(level, index, set_to=dummy)
         if self.obs.enabled:
             self.obs.instant(ev.EV_META_FLUSH, ev.TRACK_CTL,
                              scheme=self.name, level=level, index=index,

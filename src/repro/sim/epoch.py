@@ -158,12 +158,8 @@ def ineligible_reason(system) -> str | None:
         return "wear tracking"
     if getattr(ctl, "tracker", None) is not None:
         return "recovery tracker attached"
-    if getattr(cfg, "osiris_limit", 0):
-        return "osiris persistence limit"
     if ctl.amap.tree_levels < 2:
         return "single-level tree"
-    if ctl.parallel_hashing is not True:
-        return "serial hash engine discipline"
     # Patched seams (the sanitizer patches instance attributes).
     components = {"system": system, "hierarchy": system.hierarchy,
                   "l1": system.hierarchy.l1, "l2": system.hierarchy.l2,
@@ -383,11 +379,13 @@ class EpochEngine:
             return victim
 
         def spill(sets, nsets, addr):
-            """`CacheHierarchy._spill` of a dirty victim: mark its
-            inclusive outer copy dirty, if it is resident."""
+            """One level of `CacheHierarchy._spill`: mark the copy of
+            a dirty victim dirty; ``False`` if the level lacks it."""
             cset = sets[(addr >> 6) % nsets]
             if addr in cset:
                 cset[addr] = True
+                return True
+            return False
 
         def cpu_install(line, dirty):
             """`CacheHierarchy._install`: inclusive outer-in fill with
@@ -400,17 +398,21 @@ class EpochEngine:
                                  l2_evictions, l2_wbs, line, False)
             victim1 = cpu_insert(l1_sets, l1_nsets, l1_ways,
                                  l1_evictions, l1_wbs, line, dirty)
-            if victim1 is not None and victim1[1]:
-                spill(l2_sets, l2_nsets, victim1[0])
-            if victim2 is not None and victim2[1]:
-                spill(l3_sets, l3_nsets, victim2[0])
+            # L1 victims spill to L2, else L3; L2 victims to L3.
+            lost = False
+            if victim1 is not None and victim1[1] \
+                    and not spill(l2_sets, l2_nsets, victim1[0]):
+                lost = not spill(l3_sets, l3_nsets, victim1[0])
+            if victim2 is not None and victim2[1] \
+                    and not spill(l3_sets, l3_nsets, victim2[0]):
+                lost = True
             if victim is None:
                 return EMPTY
             # Back-invalidation: the inner copies' dirty bits OR in.
             va, dirty_out = victim
             dirty_out |= l1_sets[(va >> 6) % l1_nsets].pop(va, False)
             dirty_out |= l2_sets[(va >> 6) % l2_nsets].pop(va, False)
-            if dirty_out:
+            if dirty_out or lost:
                 return (va,)
             return EMPTY
 
@@ -429,8 +431,9 @@ class EpochEngine:
                 l2_hits.value += 1
                 victim = cpu_insert(l1_sets, l1_nsets, l1_ways,
                                     l1_evictions, l1_wbs, line, False)
-                if victim is not None and victim[1]:
-                    spill(l2_sets, l2_nsets, victim[0])
+                if victim is not None and victim[1] \
+                        and not spill(l2_sets, l2_nsets, victim[0]):
+                    spill(l3_sets, l3_nsets, victim[0])
                 return False, EMPTY
             l2_misses.value += 1
             cset = l3_sets[(line >> 6) % l3_nsets]
@@ -443,8 +446,9 @@ class EpochEngine:
                     spill(l3_sets, l3_nsets, victim[0])
                 victim = cpu_insert(l1_sets, l1_nsets, l1_ways,
                                     l1_evictions, l1_wbs, line, False)
-                if victim is not None and victim[1]:
-                    spill(l2_sets, l2_nsets, victim[0])
+                if victim is not None and victim[1] \
+                        and not spill(l2_sets, l2_nsets, victim[0]):
+                    spill(l3_sets, l3_nsets, victim[0])
                 return False, EMPTY
             l3_misses.value += 1
             return True, cpu_install(line, False)
@@ -563,25 +567,18 @@ class EpochEngine:
             return image + node.hmac.to_bytes(8, "little")
 
         # ---- the metadata fetch-and-verify chain, inlined ------------
-        def install(line, node, dirty):
-            """`_install`: cache insert + synchronous dirty-victim flush.
-            Dirty-notification hooks are no-ops for every eligible flavor
-            (eligibility requires ``tracker is None``)."""
+        def install(line, node):
+            """`_install` of a node just missed on: clean insert + sync
+            dirty-victim flush.  Dirty-notification hooks are no-ops for
+            every eligible flavor (eligibility: ``tracker is None``)."""
             mset = mc_sets[(line >> 6) % mc_nsets]
-            existing = mset.get(line)
-            if existing is not None:
-                if node is not None:
-                    existing.payload = node
-                existing.dirty = existing.dirty or dirty
-                mset.move_to_end(line)
-                return
             victim = None
             if len(mset) >= mc_ways:
                 _, victim = mset.popitem(last=False)
                 mc_evictions.value += 1
                 if victim.dirty:
                     mc_writebacks.value += 1
-            mset[line] = CacheLine(line, dirty, node)
+            mset[line] = CacheLine(line, False, node)
             if victim is not None and victim.dirty:
                 ctl._flush_depth += 1
                 if ctl._flush_depth > 64:
@@ -599,8 +596,8 @@ class EpochEngine:
             """`_fetch_chain` past the (already missed) counted probe.
             Returns ``(node, read_latency, nodes_fetched)``."""
             if is_baseline:
-                # Baseline override: read the block directly, unverified
-                # (no victim-buffer snoop, no parent chain, no hashes).
+                # Baseline override: read the counter block directly,
+                # unverified (no victim-buffer snoop, chain or hashes).
                 row = line >> 12
                 bank = row % banks
                 hit = open_rows.get(bank) == row
@@ -611,13 +608,9 @@ class EpochEngine:
                 else:
                     row_misses.value += 1
                 open_rows[bank] = row
-                raw = nvm_lines.get(line, ZERO_LINE)
-                if level == 0:
-                    node = cb_from_bytes(index, raw)
-                else:
-                    node = sit_from_bytes(level, index, raw, arity)
+                node = cb_from_bytes(index, nvm_lines.get(line, ZERO_LINE))
                 meta_reads.value += 1
-                install(line, node, False)
+                install(line, node)
                 return node, latency, 0
             buffered = victim_buffer.get(line)
             if buffered is not None:
@@ -686,15 +679,12 @@ class EpochEngine:
                 raise IntegrityError(
                     f"{name}: verification failed for tree node "
                     f"(level {level}, index {index}) at {line:#x}")
-            install(line, node, False)
+            install(line, node)
             return node, latency, fetched + 1
 
         def fetch_chain(level, index):
-            """`_fetch_chain` including the counted head probe."""
-            if level == 0:
-                line = cap + (index << 6)
-            else:
-                line = tree_base + ((tree_offsets[level] + index) << 6)
+            """`_fetch_chain` of a SIT node, with the counted probe."""
+            line = tree_base + ((tree_offsets[level] + index) << 6)
             mset = mc_sets[(line >> 6) % mc_nsets]
             cl = mset.get(line)
             if cl is not None:
@@ -792,7 +782,7 @@ class EpochEngine:
             hashes.value += 1
             busy.value += hash_lat
             stall = persist_node(addr, image, cycle)
-            # _update_parent_counter(set_to=dummy, charge=False).
+            # _update_parent_counter(level, index, set_to=dummy).
             slot = index % arity
             if level + 1 >= tree_levels:
                 root_counters[slot] = dummy & cmask  # running_root.set

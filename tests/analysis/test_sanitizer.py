@@ -36,9 +36,7 @@ class BrokenSCUE(SCUEController):
         wpq_stall = self._persist_node(leaf, cycle)        # too early
         self.recovery_root.add(self._root_slot_of_leaf(leaf_index),
                                dummy_delta)                # too late
-        self._update_parent_counter(0, leaf_index, set_to=dummy,
-                                    bump_by=None, cycle=cycle,
-                                    charge=False)
+        self._update_parent_counter(0, leaf_index, set_to=dummy)
         return hash_latency + wpq_stall
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 import time
 
+from repro.campaign.manifest import CellRecord
+from repro.campaign.progress import NullReporter
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.sim.config import SystemConfig
 from repro.sim.results import RunResult
@@ -67,6 +69,17 @@ def fake_spec(n: int, name: str = "fake",
     return CampaignSpec(name, fake_cells(n, group_prefix))
 
 
+class FinishedCounts(NullReporter):
+    """Keeps the running count of finished cells each report carries."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.finished: list[int] = []
+
+    def cell_finished(self, record: CellRecord, finished: int) -> None:
+        self.finished.append(finished)
+
+
 # ----------------------------------------------------------------------
 # Cell functions
 # ----------------------------------------------------------------------
@@ -101,6 +114,24 @@ def raising_cell(cell: CellSpec) -> RunResult:
 def sleeping_cell(cell: CellSpec) -> RunResult:
     time.sleep(60.0)
     return make_result(cell)
+
+
+def pid_sleeping_cell(cell: CellSpec) -> RunResult:
+    """Leaves the worker's pid in a ``.pid`` marker file, then sleeps
+    like :func:`sleeping_cell`."""
+    marker = marker_path(cell, ".pid")
+    with open(marker + ".tmp", "w") as handle:
+        handle.write(str(os.getpid()))
+    os.replace(marker + ".tmp", marker)
+    return sleeping_cell(cell)
+
+
+def poison_sleeping_cell(cell: CellSpec) -> RunResult:
+    """``poison*`` cells raise at once; every other cell sleeps like
+    :func:`sleeping_cell`."""
+    if cell.group.startswith("poison"):
+        raise RuntimeError(f"poisoned cell {cell.cell_id}")
+    return sleeping_cell(cell)
 
 
 def dying_once_cell(cell: CellSpec) -> RunResult:

@@ -3,6 +3,7 @@ resume (ISSUE satellite: raising worker / hang / corrupted cache /
 kill-and-resume must all be survivable)."""
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -24,6 +25,7 @@ from repro.campaign.executor import execute_cell
 from repro.errors import CampaignError
 
 from tests.campaign._fakes import (
+    FinishedCounts,
     TinyScale,
     dying_once_cell,
     fake_spec,
@@ -31,6 +33,7 @@ from tests.campaign._fakes import (
     make_result,
     ok_cell,
     poison_cell,
+    poison_sleeping_cell,
     raising_cell,
     second_try_cell,
     sleeping_cell,
@@ -156,6 +159,7 @@ class TestParallel:
             assert record.status == "failed"
             assert record.retries == 1
             assert "RuntimeError: boom" in record.error
+            assert "Traceback (most recent call last)" in record.error
 
     def test_mixed_failure_does_not_block_others(self, scratch):
         spec = CampaignSpec("mixed", fake_spec(2).cells
@@ -190,6 +194,89 @@ class TestParallel:
         with pytest.raises(CampaignError, match="failed after"):
             run_campaign(fake_spec(2), jobs=2, retries=0, fail_fast=True,
                          cell_fn=raising_cell)
+
+    def test_more_threads_than_cores_record_each_cell_once(self, scratch):
+        """Four supervisor threads switching every microsecond: each
+        cell runs once, and the finished count loses no update."""
+        spec = fake_spec(12)
+        progress = FinishedCounts()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        started = time.monotonic()
+        try:
+            outcome = run_campaign(spec, jobs=4, retries=0,
+                                   progress=progress, cell_fn=tracking_cell)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - started < 60.0
+        assert outcome.manifest.counts()["done"] == 12
+        assert sorted(progress.finished) == list(range(1, 13))
+        assert [invocations(cell) for cell in spec] == [1] * 12
+
+    def test_fail_fast_kills_the_cells_in_flight(self, tmp_path):
+        """The first permanent failure stops a sleeping cell in flight
+        at once, records it as no failure and leaves no worker alive."""
+        spec = CampaignSpec("in-flight",
+                            fake_spec(1, group_prefix="poison").cells
+                            + fake_spec(2).cells)
+        manifest_path = tmp_path / "manifest.json"
+        before = set(multiprocessing.active_children())
+        started = time.monotonic()
+        with pytest.raises(CampaignError,
+                           match=r"cell .*poison0.* failed after 1 "
+                                 r"attempt\(s\): RuntimeError: poisoned"):
+            run_campaign(spec, jobs=2, retries=0, fail_fast=True,
+                         manifest_path=manifest_path,
+                         cell_fn=poison_sleeping_cell)
+        assert time.monotonic() - started < 10.0
+        assert set(multiprocessing.active_children()) <= before
+        statuses = [record.status
+                    for record in RunManifest.load(manifest_path).cells]
+        assert statuses[0] == "failed"
+        assert "failed" not in statuses[1:]
+
+    def test_sigint_leaves_no_worker_behind(self, scratch):
+        """Ctrl-C of a two-worker campaign ends it promptly, and every
+        worker it started is gone."""
+        repo_root = Path(__file__).resolve().parents[2]
+        script = textwrap.dedent(f"""
+            import sys
+            sys.path[:0] = [{str(repo_root / 'src')!r}, {str(repo_root)!r}]
+            from repro.campaign import run_campaign
+            from tests.campaign._fakes import fake_spec, pid_sleeping_cell
+            run_campaign(fake_spec(2), jobs=2, cell_fn=pid_sleeping_cell)
+        """)
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                env=dict(os.environ))
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(list(scratch.glob("*.pid"))) < 2:
+                if proc.poll() is not None:
+                    pytest.fail("campaign exited before the interrupt "
+                                f"(rc={proc.returncode})")
+                if time.monotonic() > deadline:
+                    pytest.fail("the two workers never started")
+                time.sleep(0.05)
+            os.kill(proc.pid, signal.SIGINT)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        pids = [int(path.read_text()) for path in scratch.glob("*.pid")]
+        deadline = time.monotonic() + 5.0
+        while any(_alive(pid) for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _alive(pid)]
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestResume:

@@ -1,6 +1,8 @@
 """The three-level CPU cache hierarchy: inclusive placement, dirty
 write-back spilling, and the writeback stream the controller sees."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.mem.hierarchy import CacheHierarchy, HierarchyConfig
 
 
@@ -39,6 +41,18 @@ class TestLoads:
         h.l2.invalidate(0)
         assert h.load(0).hit_level == 3
         assert h.load(0).hit_level == 1
+
+    def test_a_line_evicted_from_l2_and_l3_at_once_keeps_its_store(self):
+        """Line 0's dirty bit has spilled from L1 into L2 when one
+        install evicts it from L2 and L3 together: it is written back,
+        not lost."""
+        h = tiny_hierarchy()
+        h.store(0)
+        writebacks = []
+        for addr in (512, 128, 1024):
+            writebacks += h.load(addr).writebacks
+        assert writebacks == [0]
+        assert h.drop_all() == []
 
 
 class TestStores:
@@ -114,6 +128,26 @@ class TestWritebacks:
         h.load(128)              # conflicts in L1 set 0
         h.load(256)              # evicts line 0 from L1 -> spills to L2
         assert h.l1.peek(0) or h.l2.peek(0) or h.l3.peek(0)
+
+
+class TestNoStoreIsLost:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("load", "store", "persist")),
+                              st.integers(0, 31)),
+                    min_size=1, max_size=60))
+    def test_every_unwritten_store_is_dirty_at_the_end(self, ops):
+        """A line stored and since then neither persisted nor written
+        back must still be dirty somewhere: ``drop_all`` lists it."""
+        h = tiny_hierarchy()
+        unwritten: set[int] = set()
+        for kind, index in ops:
+            addr = index * 64
+            unwritten.difference_update(getattr(h, kind)(addr).writebacks)
+            if kind == "store":
+                unwritten.add(addr)
+            elif kind == "persist":
+                unwritten.discard(addr)
+        assert unwritten <= set(h.drop_all())
 
 
 class TestCrash:

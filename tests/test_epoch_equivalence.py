@@ -22,9 +22,10 @@ halves of that promise:
 * PLP with a 2-way metadata cache evicts dirty ancestors and still
   digests identically: no other test runs the epoch engine's PLP flush;
 * the CPU caches' dirty bits are the epoch engine's to write: a line
-  kept dirty only in L1 is written back when L3 evicts it, and an eADR
-  crash after a store-heavy run flushes the same dirty lines and
-  digests identically, whichever engine filled the caches;
+  kept dirty only in L1 is written back when L3 evicts it, a line whose
+  dirty bit one install evicts from L2 and L3 together is written back
+  too, and an eADR crash after a store-heavy run flushes the same dirty
+  lines and digests identically, whichever engine filled the caches;
 * under write-through, baseline and BMF-ideal never flush, even from a
   direct-mapped cache, and a dirty BMF-ideal victim (which cannot
   happen) makes the epoch engine raise;
@@ -69,6 +70,7 @@ from tests.conftest import (
     small_config,
     store_heavy_trace,
 )
+from tests.mem.test_hierarchy import tiny_hierarchy
 from tests.secure.test_runtime_detection import force_refetch
 
 SCHEMES = ("baseline", "lazy", "eager", "plp", "bmf-ideal", "scue")
@@ -186,6 +188,16 @@ def back_invalidation_trace() -> list[MemoryAccess]:
     return trace
 
 
+def lost_store_trace() -> list[MemoryAccess]:
+    """On ``tiny_hierarchy()``'s geometry, line 0's dirty bit spills
+    from L1 into L2, and the last load evicts it from L2 and L3 in one
+    install: the store must come back as a writeback."""
+    return [MemoryAccess(AccessType.WRITE, 0),
+            MemoryAccess(AccessType.READ, 512),
+            MemoryAccess(AccessType.READ, 128),
+            MemoryAccess(AccessType.READ, 1024)]
+
+
 class TestCpuCacheDirtyBits:
     """The epoch engine writes the CPU caches' dirty bits; the scalar
     hierarchy and ``drop_all`` read them."""
@@ -204,6 +216,15 @@ class TestCpuCacheDirtyBits:
         results = [run_trace(scheme, back_invalidation_trace(), engine)
                    .result("back-invalidation")
                    for engine in ("scalar", "epoch")]
+        assert result_digest(results[0]) == result_digest(results[1])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_store_leaving_l2_and_l3_at_once_is_written(self, scheme):
+        results = [run_trace(scheme, lost_store_trace(), engine,
+                             hierarchy=tiny_hierarchy().config)
+                   .result("lost-store")
+                   for engine in ("scalar", "epoch")]
+        assert [result.nvm_data_writes for result in results] == [1, 1]
         assert result_digest(results[0]) == result_digest(results[1])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -360,6 +381,15 @@ class TestEligibilityGate:
         system = System(small_config("scue", check_data=True))
         assert epoch.ineligible_reason(system) \
             == "check_data shadow verification"
+
+    def test_wear_tracking_disables_epoch(self):
+        system = build_system("scue", track_wear=True)
+        assert epoch.ineligible_reason(system) == "wear tracking"
+
+    def test_single_level_tree_disables_epoch(self):
+        system = build_system("scue", data_capacity=4096)
+        assert system.controller.amap.tree_levels == 1
+        assert epoch.ineligible_reason(system) == "single-level tree"
 
 
 class TestFinishedRunIsFreed:
