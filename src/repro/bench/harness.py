@@ -187,10 +187,12 @@ def run_matrix(scale: BenchScale,
     """Run every (workload, scheme) pair on identical traces.
 
     Cells are submitted through the campaign engine: ``jobs=1`` (the
-    default) executes them serially in-process exactly as the classic
-    harness did, while ``jobs>1`` shards them across a worker pool.
-    Because every workload generator is seed-deterministic, the two
-    paths produce identical results cell for cell.  Pass ``cache`` (a
+    default) executes them serially in-process, one pass per workload
+    row (the row's cells build its trace once and replay one recorded
+    CPU-cache pass), while ``jobs>1`` shards them across a worker pool
+    and gives that sharing up.  Because every workload generator is
+    seed-deterministic, the two paths produce identical results cell
+    for cell.  Pass ``cache`` (a
     :class:`~repro.campaign.cache.ResultCache` or a directory path) to
     skip cells a previous — possibly killed — run already completed, and
     ``manifest_path`` to stream per-cell status to a manifest JSON.

@@ -6,13 +6,20 @@ Two modes share all bookkeeping:
   spec order, exceptions optionally propagate unchanged (``fail_fast``),
   nothing forks.  This is the path unit tests and the classic
   ``run_matrix`` call take, so parallelism can never perturb them.
+  With the default cell function it also runs one pass per *row*: the
+  consecutive cells that share a trace (one workload of a matrix or a
+  hash sweep) build that trace once, and the first of them the epoch
+  engine runs records what the CPU caches returned, which the row's
+  later cells with the same caches and warm-up replay (:class:`GridRow`).
+  A replayed ``System`` never leaves :meth:`GridRow.run`.
 * ``jobs > 1`` — up to ``jobs`` threads each run one cell at a time
   through :func:`run_cell`, the one supervisor of a forked cell (which
   ``repro-sim serve`` calls too): a per-cell ``timeout`` kills hung
   workers, transient worker deaths and cell errors are retried with
   exponential backoff, and the manifest is kept current after every
   transition — so ``kill -9`` of the whole campaign loses at most the
-  cells in flight.
+  cells in flight.  Each forked cell runs alone: the pool shares no
+  row.
 
 Completed cells go to the :class:`~repro.campaign.cache.ResultCache`
 (when one is given) *before* the manifest records them done; resume is
@@ -36,6 +43,7 @@ from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from repro.campaign.cache import ResultCache, cell_key
@@ -53,6 +61,7 @@ from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.errors import CampaignError
 from repro.sim.driver import run_workload
 from repro.sim.results import RunResult
+from repro.sim.system import System
 from repro.workloads import make_workload
 
 CellFn = Callable[[CellSpec], RunResult]
@@ -63,14 +72,87 @@ def execute_cell(cell: CellSpec) -> RunResult:
 
     Mirrors the classic serial harness exactly — ``record()`` when the
     workload caches its trace, a fresh generator otherwise — so a cell
-    run here is bit-identical to one run by the old in-process loop.
+    run here is bit-identical to one run by the old in-process loop.  It
+    keeps nothing between calls.  A serial campaign runs its cells
+    through :meth:`GridRow.run` instead, which shares the row's trace
+    and records or replays the row's CPU-cache pass; a replaying cell's
+    ``System`` keeps empty CPU caches and never leaves that call, which
+    returns only the ``RunResult``, bit-identical to this function's.
     """
+    return run_workload(cell.config, _trace_of(cell),
+                        workload_name=cell.workload,
+                        warmup_accesses=cell.warmup_accesses)
+
+
+def _trace_of(cell: CellSpec) -> list:
     workload = make_workload(cell.workload, cell.config.data_capacity,
                              cell.operations, seed=cell.seed)
-    trace = workload.record() if hasattr(workload, "record") \
+    return workload.record() if hasattr(workload, "record") \
         else list(workload.trace())
-    return run_workload(cell.config, trace, workload_name=cell.workload,
-                        warmup_accesses=cell.warmup_accesses)
+
+
+class GridRow:
+    """The row one serial campaign is in: the run of consecutive cells
+    that share a trace, which ``CampaignSpec.matrix`` and ``.hash_sweep``
+    emit back to back for each workload.
+
+    It holds at most one row: the trace of the last cell run, keyed by
+    ``(workload, data_capacity, operations, seed)``, and the
+    :class:`~repro.sim.epoch.CachePass` of that trace under one
+    ``(HierarchyConfig, warmup_accesses)``.  The schemes differ only
+    behind the memory controller, so the CPU caches return the same
+    misses and writebacks in every cell of a row.  The first cell the
+    epoch engine can run records that pass while it runs the caches;
+    each later one with the same hierarchy and warm-up replays it
+    instead.  A cell the engine cannot run (``bmt-eager``,
+    ``leaf_write_through=False``, ...) shares only the trace.  A pass is
+    kept only once its cell has returned, so a raising cell leaves no
+    record and the next eligible cell records instead.
+
+    ``run_campaign(jobs=1)`` runs :meth:`run` in place of its default
+    cell function, :func:`execute_cell`; nothing else does, so parallel
+    workers and ``repro-sim serve`` run each cell alone.
+    """
+
+    def __init__(self) -> None:
+        self.trace_key: tuple | None = None
+        self.trace: list | None = None
+        self.pass_key: tuple | None = None
+        self.cache_pass = None
+
+    def run(self, cell: CellSpec) -> RunResult:
+        """:func:`execute_cell`, sharing this row's trace and pass."""
+        # Lazy, as in System.run: the engine pulls in every scheme.
+        from repro.sim import epoch
+
+        trace_key = (cell.workload, cell.config.data_capacity,
+                     cell.operations, cell.seed)
+        if trace_key != self.trace_key:
+            # Let go of the old row before building the next trace.
+            self.trace_key = self.trace = self.pass_key = \
+                self.cache_pass = None
+            self.trace = _trace_of(cell)
+            self.trace_key = trace_key
+        system = System(cell.config)
+        if epoch.ineligible_reason(system) is not None:
+            return run_workload(cell.config, self.trace,
+                                workload_name=cell.workload,
+                                warmup_accesses=cell.warmup_accesses,
+                                system=system)
+        pass_key = (cell.config.hierarchy, cell.warmup_accesses)
+        replay = self.cache_pass if pass_key == self.pass_key else None
+        record = epoch.CachePass() if replay is None else None
+        engine = epoch.EpochEngine(system, record=record, replay=replay)
+        # run_workload's warm-up split, on one engine across both runs.
+        rows = iter(self.trace)
+        if cell.warmup_accesses:
+            engine.run(islice(rows, cell.warmup_accesses))
+            system.reset_stats()
+        engine.run(rows)
+        result = system.result(cell.workload)
+        if record is not None:
+            self.pass_key, self.cache_pass = pass_key, record
+        return result
 
 
 @dataclass
@@ -142,6 +224,8 @@ def run_campaign(spec: CampaignSpec, *,
     state.save()
     try:
         if jobs == 1:
+            if cell_fn is execute_cell:
+                cell_fn = GridRow().run
             _run_serial(state, pending, retries, backoff, fail_fast,
                         cell_fn)
         else:

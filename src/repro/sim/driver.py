@@ -54,20 +54,3 @@ def run_workload(config: SystemConfig, trace: TraceSource,
     sim.run(iterator)
     return sim.result(workload_name)
 
-
-def run_schemes(config: SystemConfig, schemes: list[str],
-                trace_factory: Callable[[], Iterable[MemoryAccess]],
-                workload_name: str = "workload",
-                warmup_accesses: int = 0,
-                max_accesses: int | None = None) -> dict[str, RunResult]:
-    """Run the *same* workload across several schemes (the Fig 9/10
-    comparison shape).  ``trace_factory`` must return a fresh, identical
-    trace per call — pass a deterministic generator factory."""
-    results: dict[str, RunResult] = {}
-    for scheme in schemes:
-        results[scheme] = run_workload(
-            config.with_(scheme=scheme), trace_factory,
-            workload_name=workload_name,
-            warmup_accesses=warmup_accesses,
-            max_accesses=max_accesses)
-    return results

@@ -196,19 +196,50 @@ def run_trace(system, trace) -> bool:
     return True
 
 
+class CachePass:
+    """What the CPU caches returned for every row of one trace.
+
+    The L1–L3 hierarchy is a placement model fed by the trace alone, so
+    every run of one trace under one
+    :class:`~repro.mem.hierarchy.HierarchyConfig` and one warm-up split
+    sees the same misses, the same L3 writebacks and the same counters,
+    whatever the scheme behind the controller.  One engine records a
+    pass (``EpochEngine(system, record=CachePass())``); engines of later
+    runs replay it (``replay=``) instead of running the caches.
+
+    ``outcomes`` holds one entry per trace row, in trace order: a load's
+    ``(miss_to_memory, writebacks)``, a store's or persist's
+    ``writebacks``.  Hits and writeback-free misses are per-run shared
+    constants, so most rows cost one list slot.  ``counters`` holds, for
+    each :meth:`EpochEngine.run` in turn, the 12 L1–L3 hit, miss,
+    eviction and writeback counters at its end.
+    """
+
+    __slots__ = ("outcomes", "counters")
+
+    def __init__(self) -> None:
+        self.outcomes: list = []
+        self.counters: list[tuple[int, ...]] = []
+
+
 class EpochEngine:
     """One run's worth of bound-state interpreter.
 
     Construct per :meth:`System.run` call — eligibility (and the
     sanitizer's seam patches) are re-checked each run, and histogram /
     ledger objects are re-bound (``reset_stats`` replaces some of
-    them).
+    them).  An engine that records or replays a :class:`CachePass`
+    spans one cell instead: its warm-up run and its measured run, with
+    ``reset_stats`` between them, walk one pass in order.  A replaying
+    engine never touches the tag arrays, so its system's CPU caches
+    stay empty and only their counters are right.
     """
 
     #: Always 0; perfbench's ``epoch.planned_row_ratio`` still reads it.
     planned_rows = 0
 
-    def __init__(self, system) -> None:
+    def __init__(self, system, record: CachePass | None = None,
+                 replay: CachePass | None = None) -> None:
         reason = ineligible_reason(system)
         if reason is not None:
             raise ConfigError(f"epoch engine ineligible: {reason}")
@@ -217,6 +248,13 @@ class EpochEngine:
         #: Rows executed (engine-local on purpose: anything pushed into
         #: the StatGroups would change the digested stats dict).
         self.window_rows = 0
+        self.record = record
+        self.replay = replay
+        #: The replay's place in ``replay.outcomes``, across runs.
+        self._replayed = (iter(replay.outcomes) if replay is not None
+                          else None)
+        #: Runs finished, which index ``CachePass.counters``.
+        self.runs = 0
 
     # ------------------------------------------------------------------
     def run(self, trace) -> None:
@@ -357,7 +395,14 @@ class EpochEngine:
 
         # ---- the CPU cache hierarchy, inlined ------------------------
         # Each set maps a resident line to its dirty bit (`TagCache`).
+        # A load's two writeback-free outcomes are shared constants, so
+        # a recorded pass holds one object for all of them.
         EMPTY = ()
+        HIT = (False, EMPTY)
+        MISS = (True, EMPTY)
+        cpu_counters = (l1_hits, l1_misses, l1_evictions, l1_wbs,
+                        l2_hits, l2_misses, l2_evictions, l2_wbs,
+                        l3_hits, l3_misses, l3_evictions, l3_wbs)
 
         def cpu_insert(sets, nsets, ways, evictions, writebacks, line,
                        dirty):
@@ -423,7 +468,7 @@ class EpochEngine:
             if line in cset:
                 cset.move_to_end(line)
                 l1_hits.value += 1
-                return False, EMPTY
+                return HIT
             l1_misses.value += 1
             cset = l2_sets[(line >> 6) % l2_nsets]
             if line in cset:
@@ -434,7 +479,7 @@ class EpochEngine:
                 if victim is not None and victim[1] \
                         and not spill(l2_sets, l2_nsets, victim[0]):
                     spill(l3_sets, l3_nsets, victim[0])
-                return False, EMPTY
+                return HIT
             l2_misses.value += 1
             cset = l3_sets[(line >> 6) % l3_nsets]
             if line in cset:
@@ -449,9 +494,10 @@ class EpochEngine:
                 if victim is not None and victim[1] \
                         and not spill(l2_sets, l2_nsets, victim[0]):
                     spill(l3_sets, l3_nsets, victim[0])
-                return False, EMPTY
+                return HIT
             l3_misses.value += 1
-            return True, cpu_install(line, False)
+            writebacks = cpu_install(line, False)
+            return (True, writebacks) if writebacks else MISS
 
         def cpu_store(line):
             """`CacheHierarchy.store`; the miss flag is unused on the
@@ -509,6 +555,33 @@ class EpochEngine:
             if hit:
                 return EMPTY
             return cpu_install(line, False)
+
+        # The three cache steps, bound once per run: live, live and
+        # recorded, or replayed from a recorded pass.
+        record = self.record
+        if self.replay is not None:
+            replayed = self._replayed.__next__
+
+            def replay_step(line):
+                return replayed()
+
+            load_step = store_step = persist_step = replay_step
+        elif record is not None:
+            keep = record.outcomes.append
+
+            def recorded(step):
+                def record_step(line):
+                    outcome = step(line)
+                    keep(outcome)
+                    return outcome
+                return record_step
+
+            load_step, store_step, persist_step = (
+                recorded(cpu_load), recorded(cpu_store),
+                recorded(cpu_persist))
+        else:
+            load_step, store_step, persist_step = \
+                cpu_load, cpu_store, cpu_persist
 
         # ---- WPQ: advance_to / enqueue, inlined ----------------------
         def wpq_advance(cycle):
@@ -1142,7 +1215,7 @@ class EpochEngine:
             kind = access.kind
             if kind is READ:
                 loads.value += 1
-                miss, writebacks = cpu_load(line)
+                miss, writebacks = load_step(line)
                 if miss:
                     if line < 0:
                         cb_of_data(line)  # raises like the scalar path
@@ -1199,7 +1272,7 @@ class EpochEngine:
                         attr["read_media"] += overlapped
             elif kind is WRITE:
                 stores.value += 1
-                writebacks = cpu_store(line)
+                writebacks = store_step(line)
                 data = access.data
                 if data is not None:
                     if len(data) != 64:
@@ -1207,7 +1280,7 @@ class EpochEngine:
                     plaintexts[line] = bytes(data)
             else:  # PERSIST
                 persists.value += 1
-                writebacks = cpu_persist(line)
+                writebacks = persist_step(line)
                 if line < 0:
                     cb_of_data(line)  # raises like the scalar path
                 (cpu_stall, fetch_latency, overflow_cycles, scheme_cycles,
@@ -1244,3 +1317,11 @@ class EpochEngine:
             # ... -> install are closure cycles that hold the whole
             # machine; cut both so refcounting frees a finished run.
             fetch_chain = flush_victim = None  # noqa: F811
+        if self.replay is not None:
+            for counter, value in zip(cpu_counters,
+                                      self.replay.counters[self.runs]):
+                counter.value = value
+        elif record is not None:
+            record.counters.append(
+                tuple(counter.value for counter in cpu_counters))
+        self.runs += 1

@@ -1,6 +1,6 @@
 """The experiment driver and result arithmetic."""
 
-from repro.sim.driver import run_schemes, run_workload
+from repro.sim.driver import run_workload
 from repro.sim.results import RunResult
 
 from tests.conftest import persist_trace, small_config
@@ -33,19 +33,6 @@ class TestRunWorkload:
         b = run_workload(small_config(), lambda: persist_trace(50))
         assert a.cycles == b.cycles
         assert a.avg_write_latency == b.avg_write_latency
-
-
-class TestRunSchemes:
-    def test_runs_identical_trace_per_scheme(self):
-        results = run_schemes(small_config(), ["baseline", "scue"],
-                              lambda: persist_trace(30))
-        assert set(results) == {"baseline", "scue"}
-        assert results["baseline"].persists == results["scue"].persists
-
-    def test_secure_scheme_not_cheaper_than_baseline(self):
-        results = run_schemes(small_config(), ["baseline", "plp"],
-                              lambda: persist_trace(30))
-        assert results["plp"].cycles >= results["baseline"].cycles
 
 
 class TestRunResult:
