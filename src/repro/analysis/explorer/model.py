@@ -28,14 +28,14 @@ may not reorder.  Schemes without a spec get only the physical
 (same-line/same-register) edges — strictly more interleavings, i.e.
 the conservative direction.
 
-The unit graph is SCC-condensed (mutually-ordered units are one atomic
-granule) and topologically reindexed, after which a **crash cut** is
-any downward-closed set of units: the persists that made it to media
-before power failed.  :meth:`CrashStateModel.iter_cuts` enumerates cuts
-shard-by-shard (by newest unit index) with an optional ``max_lag``
-bound on how many older units may still be in flight;
-:func:`brute_force_cuts` is the independent reference enumeration used
-by the pruning-soundness tests.
+The unit graph is topologically reindexed (a cycle, which no recorded
+run has produced, raises :class:`~repro.errors.SimulationError`), after
+which a **crash cut** is any downward-closed set of units: the persists
+that made it to media before power failed.
+:meth:`CrashStateModel.iter_cuts` enumerates cuts shard-by-shard (by
+newest unit index) with an optional ``max_lag`` bound on how many older
+units may still be in flight; :func:`brute_force_cuts` is the
+independent reference enumeration used by the pruning-soundness tests.
 """
 
 from __future__ import annotations
@@ -175,7 +175,6 @@ class CrashStateModel:
     def _link_units(self) -> None:
         n = len(self.units)
         succs: list[set[int]] = [set() for _ in range(n)]
-        cyclic = False
         for i in range(n):
             for j in range(i + 1, n):
                 fwd, back = self._directions(self.units[i], self.units[j])
@@ -183,14 +182,7 @@ class CrashStateModel:
                     succs[i].add(j)
                 if back:
                     succs[j].add(i)
-                cyclic = cyclic or (fwd and back)
-        if cyclic:
-            succs = self._condense(succs)
-        try:
-            self._topo_reindex(succs)
-        except SimulationError:
-            # Longer cycles with no mutually-ordered pair still condense.
-            self._topo_reindex(self._condense(succs))
+        self._topo_reindex(succs)
 
     def _directions(self, a: PersistUnit,
                     b: PersistUnit) -> tuple[bool, bool]:
@@ -210,78 +202,6 @@ class CrashStateModel:
                 if fwd and back:
                     return True, True
         return fwd, back
-
-    def _condense(self, succs: list[set[int]]) -> list[set[int]]:
-        """Kosaraju SCC condensation: mutually-ordered units merge into
-        one atomic unit, guaranteeing the unit graph is a DAG."""
-        n = len(self.units)
-        order: list[int] = []
-        visited = [False] * n
-        for start in range(n):
-            if visited[start]:
-                continue
-            visited[start] = True
-            stack = [(start, iter(succs[start]))]
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if not visited[nxt]:
-                        visited[nxt] = True
-                        stack.append((nxt, iter(succs[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(node)
-                    stack.pop()
-        preds: list[list[int]] = [[] for _ in range(n)]
-        for i, out in enumerate(succs):
-            for j in out:
-                preds[j].append(i)
-        comp = [-1] * n
-        comp_count = 0
-        for start in reversed(order):
-            if comp[start] >= 0:
-                continue
-            comp[start] = comp_count
-            stack2 = [start]
-            while stack2:
-                node = stack2.pop()
-                for nxt in preds[node]:
-                    if comp[nxt] < 0:
-                        comp[nxt] = comp_count
-                        stack2.append(nxt)
-            comp_count += 1
-        merged_events: list[list[PersistEvent]] = \
-            [[] for _ in range(comp_count)]
-        merged_kinds: list[set[str]] = [set() for _ in range(comp_count)]
-        for i, unit in enumerate(self.units):
-            merged_events[comp[i]].extend(unit.events)
-            merged_kinds[comp[i]].add(unit.kind)
-        units: list[PersistUnit] = []
-        for c in range(comp_count):
-            events = sorted(merged_events[c], key=lambda e: e.seq)
-            kinds = merged_kinds[c]
-            kind = kinds.pop() if len(kinds) == 1 else "merged"
-            lines, branches, registers = self._footprints(events)
-            units.append(PersistUnit(len(units), kind, events,
-                                     lines, branches, registers))
-        units.sort(key=lambda u: u.first_seq)
-        new_succs: list[set[int]] = [set() for _ in range(comp_count)]
-        position = {u.first_seq: idx for idx, u in enumerate(units)}
-        comp_pos = [0] * comp_count
-        for c in range(comp_count):
-            comp_pos[c] = position[
-                sorted(merged_events[c], key=lambda e: e.seq)[0].seq]
-        for i, out in enumerate(succs):
-            for j in out:
-                a, b = comp_pos[comp[i]], comp_pos[comp[j]]
-                if a != b:
-                    new_succs[a].add(b)
-        self.units = units
-        for idx, unit in enumerate(units):
-            unit.index = idx
-        return new_succs
 
     def _topo_reindex(self, succs: list[set[int]]) -> None:
         """Kahn topological sort (ties broken by first event seq) and
@@ -308,7 +228,8 @@ class CrashStateModel:
                 ready.sort(key=lambda i: self.units[i].first_seq)
         if len(topo) != n:
             raise SimulationError(
-                "persist-unit graph is cyclic after condensation")
+                "persist-unit graph is cyclic: two units each persist "
+                "after the other")
         rank = {old: new for new, old in enumerate(topo)}
         self.units = [self.units[old] for old in topo]
         for idx, unit in enumerate(self.units):

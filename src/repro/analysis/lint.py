@@ -478,17 +478,20 @@ class HotPathAllocationRule(LintRule):
     justified line, so any *new* allocation still surfaces."""
 
     name = "hot-path-allocation"
-    paths = ("secure/",)
+    paths = ("secure/", "mem/hierarchy.py")
 
     #: The per-access call tree: the write/read entry points and the
-    #: fetch / bump / persist helpers they reach on every access.  A
-    #: declarative list (not call-graph discovery) so the rule's scope
-    #: is reviewable in one place and stable under refactors.
+    #: fetch / bump / persist helpers they reach on every access, and
+    #: the CPU hierarchy's steps, which both engines call on every
+    #: access.  A declarative list (not call-graph discovery) so the
+    #: rule's scope is reviewable in one place and stable under
+    #: refactors.
     HOT_FUNCTIONS = frozenset({
         "write_data", "read_data", "fetch_node", "_fetch_chain",
         "_parent_counter_chain", "_bump_leaf", "_bump_parent",
         "_update_parent_counter", "_on_leaf_persist", "_flush_node",
         "_persist_node", "_mark_dirty", "_install",
+        "load", "store", "persist",
     })
 
     _ALLOC_CALLS = frozenset({"list", "dict", "set", "bytearray"})

@@ -14,11 +14,16 @@ A load miss in all three levels produces a memory read.  A store is
 write-allocate/write-back: it dirties the line in L1 and surfaces at the
 controller only when a dirty line is evicted from L3.  A *persist*
 (clwb+fence) writes through immediately and leaves the line clean.
+
+This is the one model of L1-L3: the scalar loop, the epoch engine and
+``MultiProgramSystem`` all call :meth:`CacheHierarchy.load`, ``store``
+and ``persist``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.mem.cache import TagCache
 from repro.obs import events as ev
@@ -48,8 +53,7 @@ class HierarchyConfig:
         return cls(**{k: int(v) for k, v in data.items()})
 
 
-@dataclass(slots=True)
-class HierarchyResult:
+class HierarchyResult(NamedTuple):
     """Outcome of one access against the hierarchy.
 
     ``miss_to_memory``: the access needs a line from the controller.
@@ -59,8 +63,18 @@ class HierarchyResult:
     """
 
     miss_to_memory: bool
-    writebacks: list[int]
+    writebacks: tuple[int, ...]
     hit_level: int
+
+
+#: The writeback-free outcomes, indexed by hit level (0 is a full
+#: miss).  They are shared, so an access that writes nothing back
+#: allocates nothing, and a recorded pass holds one object for each.
+MISS = HierarchyResult(True, (), 0)
+L1_HIT = HierarchyResult(False, (), 1)
+L2_HIT = HierarchyResult(False, (), 2)
+L3_HIT = HierarchyResult(False, (), 3)
+_CLEAN = (MISS, L1_HIT, L2_HIT, L3_HIT)
 
 
 class CacheHierarchy:
@@ -82,89 +96,101 @@ class CacheHierarchy:
         self._levels = (self.l1, self.l2, self.l3)
 
     # ------------------------------------------------------------------
-    def _spill(self, victim: tuple[int, bool] | None,
-               *outers: TagCache) -> bool:
-        """Write-back spill: a dirty victim evicted from an inner level
-        marks the first of ``outers`` holding it dirty; ``True`` if none
-        does, so the victim itself must be written back."""
-        if victim is None or not victim[1]:
-            return False
-        for outer in outers:
-            if outer.mark(victim[0], True):
-                return False
-        return True
-
-    def _install(self, line_addr: int, dirty: bool) -> list[int]:
-        """Install a line in all levels (inclusive fill); collect dirty
-        lines that fall out of L3."""
-        writebacks: list[int] = []
+    # A dirty victim evicted from an inner level marks the nearest outer
+    # level holding the line dirty (a write-back spill).
+    def _install(self, line_addr: int, dirty: bool) -> tuple[int, ...]:
+        """Install a line in all levels (inclusive fill); return the
+        dirty line that falls out of L3, if any."""
+        l1, l2, l3 = self.l1, self.l2, self.l3
         # Fill outer-in so inner victims can spill into a present copy.
-        victim = self.l3.insert(line_addr)
-        victim2 = self.l2.insert(line_addr)
-        victim1 = self.l1.insert(line_addr, dirty)
+        victim = l3.insert(line_addr)
+        victim2 = l2.insert(line_addr)
+        victim1 = l1.insert(line_addr, dirty)
         # L2 does not back-invalidate L1.  L3 is inclusive, so a victim
         # no outer level holds is the line just evicted from L3.
-        lost = self._spill(victim1, self.l2, self.l3)
-        lost |= self._spill(victim2, self.l3)
-        if victim is not None:
-            # Inclusive hierarchy: L3 eviction invalidates inner copies,
-            # inheriting their dirtiness.
-            addr, dirty_out = victim
-            for inner in (self.l1, self.l2):
-                if inner.invalidate(addr):
-                    dirty_out = True
-            if dirty_out or lost:
-                writebacks.append(addr)
-                if self.obs.enabled:
-                    self.obs.instant(ev.EV_LLC_WRITEBACK, ev.TRACK_CPU,
-                                     addr=addr)
-        return writebacks
+        lost = False
+        if victim1 is not None and victim1[1] \
+                and not l2.mark(victim1[0], True):
+            lost = not l3.mark(victim1[0], True)
+        if victim2 is not None and victim2[1] \
+                and not l3.mark(victim2[0], True):
+            lost = True
+        if victim is None:
+            return ()
+        # Inclusive hierarchy: L3 eviction invalidates inner copies,
+        # inheriting their dirtiness.
+        addr, dirty_out = victim
+        if l1.invalidate(addr):
+            dirty_out = True
+        if l2.invalidate(addr):
+            dirty_out = True
+        if not (dirty_out or lost):
+            return ()
+        if self.obs.enabled:
+            self.obs.instant(ev.EV_LLC_WRITEBACK, ev.TRACK_CPU, addr=addr)
+        return (addr,)
 
     def load(self, line_addr: int) -> HierarchyResult:
         """A load instruction touching ``line_addr``."""
-        for level, cache in enumerate(self._levels, start=1):
-            if cache.lookup(line_addr):
-                if level > 1:
-                    # Promote into inner levels (no memory traffic).
-                    # L3 keeps its copies, so no spill is lost.
-                    if level > 2:
-                        self._spill(self.l2.insert(line_addr), self.l3)
-                    self._spill(self.l1.insert(line_addr), self.l2,
-                                self.l3)
-                return HierarchyResult(False, [], level)
-        writebacks = self._install(line_addr, dirty=False)
-        return HierarchyResult(True, writebacks, 0)
+        l1, l2, l3 = self.l1, self.l2, self.l3
+        if l1.lookup(line_addr):
+            return L1_HIT
+        if l2.lookup(line_addr):
+            # Promote into L1 (no memory traffic).
+            victim = l1.insert(line_addr)
+            if victim is not None and victim[1] \
+                    and not l2.mark(victim[0], True):
+                l3.mark(victim[0], True)
+            return L2_HIT
+        if l3.lookup(line_addr):
+            # Promote into L2 and L1.  L3 keeps its copies, so no spill
+            # is lost.
+            victim = l2.insert(line_addr)
+            if victim is not None and victim[1]:
+                l3.mark(victim[0], True)
+            victim = l1.insert(line_addr)
+            if victim is not None and victim[1] \
+                    and not l2.mark(victim[0], True):
+                l3.mark(victim[0], True)
+            return L3_HIT
+        writebacks = self._install(line_addr, False)
+        return HierarchyResult(True, writebacks, 0) if writebacks else MISS
 
     def store(self, line_addr: int) -> HierarchyResult:
         """A plain store: write-allocate, dirty in L1, surfaces at memory
         only via later eviction."""
         if self.l1.lookup(line_addr):
             self.l1.mark(line_addr, True)
-            return HierarchyResult(False, [], 1)
-        hit_level = 0
-        for level, cache in ((2, self.l2), (3, self.l3)):
-            if cache.lookup(line_addr):
-                hit_level = level
-                break
-        miss = hit_level == 0
-        writebacks = self._install(line_addr, dirty=True)
-        return HierarchyResult(miss, writebacks, hit_level)
+            return L1_HIT
+        hit_level = 2 if self.l2.lookup(line_addr) \
+            else 3 if self.l3.lookup(line_addr) else 0
+        writebacks = self._install(line_addr, True)
+        if writebacks:
+            return HierarchyResult(hit_level == 0, writebacks, hit_level)
+        return _CLEAN[hit_level]
 
     def persist(self, line_addr: int) -> HierarchyResult:
         """A store + clwb + sfence: the line goes to the controller *now*
         and stays resident but clean."""
+        # Every level is probed (and counted) outer-in and its copy
+        # cleaned; the innermost hit names the level.
+        l1, l2, l3 = self.l1, self.l2, self.l3
         hit_level = 0
-        for level, cache in enumerate(self._levels, start=1):
-            if cache.lookup(line_addr):
-                cache.mark(line_addr, False)
-                if hit_level == 0:
-                    hit_level = level
-        writebacks: list[int] = []
-        if hit_level == 0:
-            writebacks = self._install(line_addr, dirty=False)
+        if l3.lookup(line_addr):
+            l3.mark(line_addr, False)
+            hit_level = 3
+        if l2.lookup(line_addr):
+            l2.mark(line_addr, False)
+            hit_level = 2
+        if l1.lookup(line_addr):
+            l1.mark(line_addr, False)
+            hit_level = 1
+        if hit_level:
+            return _CLEAN[hit_level]
         # Persists always reach memory; miss_to_memory reports whether the
         # *allocation* needed a fill (write-allocate on miss).
-        return HierarchyResult(hit_level == 0, writebacks, hit_level)
+        writebacks = self._install(line_addr, False)
+        return HierarchyResult(True, writebacks, 0) if writebacks else MISS
 
     def drop_all(self) -> list[int]:
         """Crash: drop every level, returning dirty line addresses (what an

@@ -102,6 +102,7 @@ class EagerController(SecureMemoryController):
         fetch_latency = 0
         current: TreeNode = leaf
         level, index = 0, leaf_index
+        write_through = self.config.leaf_write_through
         while level + 1 < self.amap.tree_levels:
             plevel, pindex = self.amap.parent_coords(level, index)
             parent, latency = self.fetch_node(plevel, pindex, charge=True)
@@ -110,8 +111,10 @@ class EagerController(SecureMemoryController):
             slot = self.amap.parent_slot(index)
             parent.bump_counter(slot, dummy_delta)
             self._mark_dirty(parent)
-            current.seal(self.mac, self.store.node_addr(level, index),
-                         parent.counter(slot))
+            addr = self.store.node_addr(level, index)
+            current.seal(self.mac, addr, parent.counter(slot))
+            if level or not write_through:
+                self._recache(addr, current)
             current, level, index = parent, plevel, pindex
         # The root update trails the persist: its completion cycle is
         # scheduled by :meth:`write_data` once the operation's end is
@@ -125,8 +128,9 @@ class EagerController(SecureMemoryController):
         self._window_extra = fetch_latency + self.hash_engine.latency_cycles
         self._pending_root.append(
             [None, slot, dummy_delta])  # reprolint: disable=hot-path-allocation
-        current.seal(self.mac, self.store.node_addr(level, index),
-                     self._root_counter(index))
+        addr = self.store.node_addr(level, index)
+        current.seal(self.mac, addr, self._root_counter(index))
+        self._recache(addr, current)
         if self.obs.enabled:
             self.obs.instant(ev.EV_LEAF_PERSIST, ev.TRACK_CTL,
                              scheme=self.name, leaf=leaf_index,
@@ -134,8 +138,17 @@ class EagerController(SecureMemoryController):
                              window_opened=True)
         return fetch_latency + hash_latency + wpq_stall
 
+    def _recache(self, addr: int, node: TreeNode) -> None:
+        """Reinstall dirty a branch node that the climb evicted between
+        its bump and its seal.  Its flush persisted the new counters
+        under the HMAC of the old ones, so the sealed node must reach
+        media again, or the next fetch of that line fails verification."""
+        if self.meta_cache.peek(addr) is None:
+            self._install(addr, node, dirty=True)
+
     def _flush_node(self, node: TreeNode, cycle: int) -> int:
-        # Eagerly maintained nodes always carry a current HMAC.
+        # A node is sealed soon after its bump, and one evicted between
+        # the two is reinstalled once sealed (``_recache``).
         stall = self._persist_node(node, cycle)
         if self.obs.enabled:
             level, index = self.store.coords_of(node)

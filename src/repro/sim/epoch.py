@@ -16,8 +16,14 @@ BMF-ideal has none, since under write-through it never evicts a dirty
 node), WPQ enqueue/drain, and the controller tick.  Every data write, a
 persist or a dirty writeback from the CPU caches, runs through one
 inlined `write_data`.  Rare or stateful seams stay real calls: minor-counter
-overflows (`_bump_leaf`) and the not-resident re-dirty path
-(`_mark_dirty`).
+overflows (`_bump_leaf`), the not-resident re-dirty path
+(`_mark_dirty`), and eager's reinstall of a branch node its climb
+evicted (`_install`).
+
+The CPU caches are not transcribed: every load, store and persist calls
+the system's :class:`~repro.mem.hierarchy.CacheHierarchy` (or replays
+a :class:`CachePass` of it), the one model of L1–L3 that the scalar
+loop and ``MultiProgramSystem`` run too.
 
 Why digests cannot drift
 ------------------------
@@ -34,10 +40,11 @@ Anything the transcription does not model — an attached recorder, the
 runtime persist-order sanitizer (which patches the `wpq.enqueue` /
 `nvm.write_line` / `_flush_node` seams as instance attributes), crash
 machinery knobs (`check_data`, wear tracking, recovery trackers, Osiris
-limits, deferred leaves), subclassed components, or a scheme without a
-transcribed tail — falls back to the scalar loop, so `repro.crash`, the
-explorer and `repro.obs` attribution always see the unchanged event
-stream.
+limits, deferred leaves), subclassed controller-side components, or a
+scheme without a transcribed tail — falls back to the scalar loop, so
+`repro.crash`, the explorer and `repro.obs` attribution always see the
+unchanged event stream.  A patched or subclassed CPU hierarchy is no
+reason: the engine calls it as the scalar loop does.
 """
 
 from __future__ import annotations
@@ -54,8 +61,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.mem.address import AddressMap
-from repro.mem.cache import CacheLine, SetAssociativeCache, TagCache
-from repro.mem.hierarchy import CacheHierarchy
+from repro.mem.cache import CacheLine, SetAssociativeCache
 from repro.mem.nvm import ZERO_LINE, NVMDevice
 from repro.mem.trace import AccessType
 from repro.mem.wpq import WPQEntry, WritePendingQueue
@@ -90,11 +96,6 @@ _FLAVORS: dict[type, str] = {
 #: way) disables the epoch engine for the run.
 _SEAM_METHODS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("system", ("execute", "run", "crash", "result", "reset_stats")),
-    ("hierarchy", ("load", "store", "persist", "drop_all", "_install",
-                   "_spill")),
-    ("l1", ("lookup", "peek", "mark", "insert", "invalidate")),
-    ("l2", ("lookup", "peek", "mark", "insert", "invalidate")),
-    ("l3", ("lookup", "peek", "mark", "insert", "invalidate")),
     ("controller", ("write_data", "read_data", "tick", "fetch_node",
                     "_fetch_chain", "_parent_counter_chain", "_install",
                     "_flush_node", "_on_leaf_persist", "_persist_node",
@@ -116,7 +117,16 @@ _SEAM_METHODS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 def ineligible_reason(system) -> str | None:
     """Why this run must take the scalar path, or ``None`` if the epoch
-    engine can reproduce it byte-identically."""
+    engine can reproduce it byte-identically.
+
+    The reasons: a subclassed system; a controller without a transcribed
+    tail; a recorder on the system or an inlined component; a subclassed
+    inlined component (NVM, WPQ, hash engine, MAC, CME, metadata cache,
+    SIT store, address map); deferred leaves, ``check_data``, wear
+    tracking, a recovery tracker or a single-level tree; a patched seam
+    of :data:`_SEAM_METHODS`.  The CPU hierarchy is never one: the
+    engine calls its methods, patched or not.
+    """
     from repro.sim.system import System
     if type(system) is not System:
         return f"subclassed system ({type(system).__name__})"
@@ -134,10 +144,6 @@ def ineligible_reason(system) -> str | None:
             return f"recorder attached to {label}"
     # Exact component types: a subclass may override anything we inline.
     for label, obj, cls in (
-            ("hierarchy", system.hierarchy, CacheHierarchy),
-            ("l1", system.hierarchy.l1, TagCache),
-            ("l2", system.hierarchy.l2, TagCache),
-            ("l3", system.hierarchy.l3, TagCache),
             ("nvm", ctl.nvm, NVMDevice),
             ("wpq", ctl.wpq, WritePendingQueue),
             ("hash_engine", ctl.hash_engine, HashEngine),
@@ -161,13 +167,10 @@ def ineligible_reason(system) -> str | None:
     if ctl.amap.tree_levels < 2:
         return "single-level tree"
     # Patched seams (the sanitizer patches instance attributes).
-    components = {"system": system, "hierarchy": system.hierarchy,
-                  "l1": system.hierarchy.l1, "l2": system.hierarchy.l2,
-                  "l3": system.hierarchy.l3,
-                  "controller": ctl, "nvm": ctl.nvm, "wpq": ctl.wpq,
-                  "hash_engine": ctl.hash_engine, "mac": ctl.mac,
-                  "cme": ctl.cme, "meta_cache": ctl.meta_cache,
-                  "store": ctl.store}
+    components = {"system": system, "controller": ctl, "nvm": ctl.nvm,
+                  "wpq": ctl.wpq, "hash_engine": ctl.hash_engine,
+                  "mac": ctl.mac, "cme": ctl.cme,
+                  "meta_cache": ctl.meta_cache, "store": ctl.store}
     for label, names in _SEAM_METHODS:
         inst = getattr(components[label], "__dict__", None)
         if inst:
@@ -181,6 +184,15 @@ def ineligible_reason(system) -> str | None:
             is not AddressMap.tree_node_addr:
         return "store.node_addr is patched"
     return None
+
+
+def _cpu_counters(hierarchy) -> tuple:
+    """The 12 L1–L3 hit, miss, eviction and writeback counters a
+    :class:`CachePass` records and restores."""
+    return tuple(counter for cache in (hierarchy.l1, hierarchy.l2,
+                                       hierarchy.l3)
+                 for counter in (cache._hits, cache._misses,
+                                 cache._evictions, cache._writebacks))
 
 
 def run_trace(system, trace) -> bool:
@@ -204,15 +216,16 @@ class CachePass:
     :class:`~repro.mem.hierarchy.HierarchyConfig` and one warm-up split
     sees the same misses, the same L3 writebacks and the same counters,
     whatever the scheme behind the controller.  One engine records a
-    pass (``EpochEngine(system, record=CachePass())``); engines of later
-    runs replay it (``replay=``) instead of running the caches.
+    pass (``EpochEngine(system, record=CachePass())``) while it calls
+    the system's :class:`~repro.mem.hierarchy.CacheHierarchy`; engines
+    of later runs replay it (``replay=``) and never call the hierarchy.
 
-    ``outcomes`` holds one entry per trace row, in trace order: a load's
-    ``(miss_to_memory, writebacks)``, a store's or persist's
-    ``writebacks``.  Hits and writeback-free misses are per-run shared
-    constants, so most rows cost one list slot.  ``counters`` holds, for
-    each :meth:`EpochEngine.run` in turn, the 12 L1–L3 hit, miss,
-    eviction and writeback counters at its end.
+    ``outcomes`` holds one entry per trace row, in trace order: the
+    :class:`~repro.mem.hierarchy.HierarchyResult` that ``load``,
+    ``store`` or ``persist`` returned.  Writeback-free outcomes are the
+    hierarchy's shared constants, so most rows cost one list slot.
+    ``counters`` holds, for each :meth:`EpochEngine.run` in turn, the 12
+    L1–L3 hit, miss, eviction and writeback counters at its end.
     """
 
     __slots__ = ("outcomes", "counters")
@@ -228,11 +241,12 @@ class EpochEngine:
     Construct per :meth:`System.run` call — eligibility (and the
     sanitizer's seam patches) are re-checked each run, and histogram /
     ledger objects are re-bound (``reset_stats`` replaces some of
-    them).  An engine that records or replays a :class:`CachePass`
-    spans one cell instead: its warm-up run and its measured run, with
-    ``reset_stats`` between them, walk one pass in order.  A replaying
-    engine never touches the tag arrays, so its system's CPU caches
-    stay empty and only their counters are right.
+    them).  Each row's CPU-cache step calls the system's hierarchy
+    (``load``, ``store`` or ``persist``).  An engine that records or
+    replays a :class:`CachePass` spans one cell instead: its warm-up run
+    and its measured run, with ``reset_stats`` between them, walk one
+    pass in order.  A replaying engine never calls the hierarchy, so its
+    system's CPU caches stay empty and only their counters are right.
     """
 
     #: Always 0; perfbench's ``epoch.planned_row_ratio`` still reads it.
@@ -283,17 +297,6 @@ class EpochEngine:
         cb_of_data = amap.counter_block_of_data  # negative-addr raise parity
 
         hierarchy = system.hierarchy
-        l1, l2, l3 = hierarchy.l1, hierarchy.l2, hierarchy.l3
-        l1_sets, l2_sets, l3_sets = l1._sets, l2._sets, l3._sets
-        l1_nsets, l2_nsets, l3_nsets = l1.num_sets, l2.num_sets, l3.num_sets
-        l1_ways, l2_ways, l3_ways = l1.ways, l2.ways, l3.ways
-        l1_hits, l2_hits, l3_hits = l1._hits, l2._hits, l3._hits
-        l1_misses, l2_misses, l3_misses = \
-            l1._misses, l2._misses, l3._misses
-        l1_evictions, l2_evictions, l3_evictions = \
-            l1._evictions, l2._evictions, l3._evictions
-        l1_wbs, l2_wbs, l3_wbs = \
-            l1._writebacks, l2._writebacks, l3._writebacks
 
         nvm = ctl.nvm
         nvm_lines = nvm._lines
@@ -393,171 +396,9 @@ class EpochEngine:
             if hist.maximum is None or value > hist.maximum:
                 hist.maximum = value
 
-        # ---- the CPU cache hierarchy, inlined ------------------------
-        # Each set maps a resident line to its dirty bit (`TagCache`).
-        # A load's two writeback-free outcomes are shared constants, so
-        # a recorded pass holds one object for all of them.
-        EMPTY = ()
-        HIT = (False, EMPTY)
-        MISS = (True, EMPTY)
-        cpu_counters = (l1_hits, l1_misses, l1_evictions, l1_wbs,
-                        l2_hits, l2_misses, l2_evictions, l2_wbs,
-                        l3_hits, l3_misses, l3_evictions, l3_wbs)
-
-        def cpu_insert(sets, nsets, ways, evictions, writebacks, line,
-                       dirty):
-            """`TagCache.insert`; returns the evicted ``(addr, dirty)``
-            victim."""
-            cset = sets[(line >> 6) % nsets]
-            if line in cset:
-                if dirty:
-                    cset[line] = True
-                cset.move_to_end(line)
-                return None
-            victim = None
-            if len(cset) >= ways:
-                victim = cset.popitem(last=False)
-                evictions.value += 1
-                if victim[1]:
-                    writebacks.value += 1
-            cset[line] = dirty
-            return victim
-
-        def spill(sets, nsets, addr):
-            """One level of `CacheHierarchy._spill`: mark the copy of
-            a dirty victim dirty; ``False`` if the level lacks it."""
-            cset = sets[(addr >> 6) % nsets]
-            if addr in cset:
-                cset[addr] = True
-                return True
-            return False
-
-        def cpu_install(line, dirty):
-            """`CacheHierarchy._install`: inclusive outer-in fill with
-            write-back spills; returns the dirty lines falling out of
-            L3 (the hierarchy recorder is off by eligibility, so the
-            LLC-writeback instant never fires)."""
-            victim = cpu_insert(l3_sets, l3_nsets, l3_ways,
-                                l3_evictions, l3_wbs, line, False)
-            victim2 = cpu_insert(l2_sets, l2_nsets, l2_ways,
-                                 l2_evictions, l2_wbs, line, False)
-            victim1 = cpu_insert(l1_sets, l1_nsets, l1_ways,
-                                 l1_evictions, l1_wbs, line, dirty)
-            # L1 victims spill to L2, else L3; L2 victims to L3.
-            lost = False
-            if victim1 is not None and victim1[1] \
-                    and not spill(l2_sets, l2_nsets, victim1[0]):
-                lost = not spill(l3_sets, l3_nsets, victim1[0])
-            if victim2 is not None and victim2[1] \
-                    and not spill(l3_sets, l3_nsets, victim2[0]):
-                lost = True
-            if victim is None:
-                return EMPTY
-            # Back-invalidation: the inner copies' dirty bits OR in.
-            va, dirty_out = victim
-            dirty_out |= l1_sets[(va >> 6) % l1_nsets].pop(va, False)
-            dirty_out |= l2_sets[(va >> 6) % l2_nsets].pop(va, False)
-            if dirty_out or lost:
-                return (va,)
-            return EMPTY
-
-        def cpu_load(line):
-            """`CacheHierarchy.load`; returns (miss_to_memory,
-            writebacks)."""
-            cset = l1_sets[(line >> 6) % l1_nsets]
-            if line in cset:
-                cset.move_to_end(line)
-                l1_hits.value += 1
-                return HIT
-            l1_misses.value += 1
-            cset = l2_sets[(line >> 6) % l2_nsets]
-            if line in cset:
-                cset.move_to_end(line)
-                l2_hits.value += 1
-                victim = cpu_insert(l1_sets, l1_nsets, l1_ways,
-                                    l1_evictions, l1_wbs, line, False)
-                if victim is not None and victim[1] \
-                        and not spill(l2_sets, l2_nsets, victim[0]):
-                    spill(l3_sets, l3_nsets, victim[0])
-                return HIT
-            l2_misses.value += 1
-            cset = l3_sets[(line >> 6) % l3_nsets]
-            if line in cset:
-                cset.move_to_end(line)
-                l3_hits.value += 1
-                victim = cpu_insert(l2_sets, l2_nsets, l2_ways,
-                                    l2_evictions, l2_wbs, line, False)
-                if victim is not None and victim[1]:
-                    spill(l3_sets, l3_nsets, victim[0])
-                victim = cpu_insert(l1_sets, l1_nsets, l1_ways,
-                                    l1_evictions, l1_wbs, line, False)
-                if victim is not None and victim[1] \
-                        and not spill(l2_sets, l2_nsets, victim[0]):
-                    spill(l3_sets, l3_nsets, victim[0])
-                return HIT
-            l3_misses.value += 1
-            writebacks = cpu_install(line, False)
-            return (True, writebacks) if writebacks else MISS
-
-        def cpu_store(line):
-            """`CacheHierarchy.store`; the miss flag is unused on the
-            store path, so only the writebacks come back."""
-            cset = l1_sets[(line >> 6) % l1_nsets]
-            if line in cset:
-                cset.move_to_end(line)
-                l1_hits.value += 1
-                cset[line] = True
-                return EMPTY
-            l1_misses.value += 1
-            cset = l2_sets[(line >> 6) % l2_nsets]
-            if line in cset:
-                cset.move_to_end(line)
-                l2_hits.value += 1
-            else:
-                l2_misses.value += 1
-                cset = l3_sets[(line >> 6) % l3_nsets]
-                if line in cset:
-                    cset.move_to_end(line)
-                    l3_hits.value += 1
-                else:
-                    l3_misses.value += 1
-            return cpu_install(line, True)
-
-        def cpu_persist(line):
-            """`CacheHierarchy.persist`: probe every level (all counted,
-            no early break), clean each resident copy, write-allocate on
-            a full miss."""
-            hit = False
-            cset = l1_sets[(line >> 6) % l1_nsets]
-            if line in cset:
-                cset.move_to_end(line)
-                l1_hits.value += 1
-                cset[line] = False
-                hit = True
-            else:
-                l1_misses.value += 1
-            cset = l2_sets[(line >> 6) % l2_nsets]
-            if line in cset:
-                cset.move_to_end(line)
-                l2_hits.value += 1
-                cset[line] = False
-                hit = True
-            else:
-                l2_misses.value += 1
-            cset = l3_sets[(line >> 6) % l3_nsets]
-            if line in cset:
-                cset.move_to_end(line)
-                l3_hits.value += 1
-                cset[line] = False
-                hit = True
-            else:
-                l3_misses.value += 1
-            if hit:
-                return EMPTY
-            return cpu_install(line, False)
-
-        # The three cache steps, bound once per run: live, live and
-        # recorded, or replayed from a recorded pass.
+        # The three CPU-cache steps, bound once per run: the hierarchy's
+        # own methods, those methods recorded, or a recorded pass
+        # replayed.
         record = self.record
         if self.replay is not None:
             replayed = self._replayed.__next__
@@ -577,11 +418,11 @@ class EpochEngine:
                 return record_step
 
             load_step, store_step, persist_step = (
-                recorded(cpu_load), recorded(cpu_store),
-                recorded(cpu_persist))
+                recorded(hierarchy.load), recorded(hierarchy.store),
+                recorded(hierarchy.persist))
         else:
             load_step, store_step, persist_step = \
-                cpu_load, cpu_store, cpu_persist
+                hierarchy.load, hierarchy.store, hierarchy.persist
 
         # ---- WPQ: advance_to / enqueue, inlined ----------------------
         def wpq_advance(cycle):
@@ -944,9 +785,17 @@ class EpochEngine:
                         "eager": flush_simple, "plp": flush_simple,
                         "baseline": flush_simple, "bmf": flush_bmf}[flavor]
 
+        def recache(addr, node):
+            """Eager's `_recache`: reinstall dirty (a real `_install`) a
+            sealed branch node that the climb evicted before its seal;
+            leaves are written through, so only SIT nodes."""
+            if mc_sets[(addr >> 6) % mc_nsets].get(addr) is None:
+                ctl._install(addr, node, True)
+
         def climb_branch(leaf, leaf_index, delta, context):
             """The eager/PLP branch walk: bump + dirty every ancestor,
-            seal each node with its parent's fresh counter.  Returns
+            seal each node with its parent's fresh counter (eager
+            recaches an evicted one; PLP persists them all).  Returns
             (fetch_latency, top_index, branch_nodes, branch_media,
             images), ``images`` holding the sealed `to_bytes()` of every
             node but the top, which the caller seals."""
@@ -980,6 +829,8 @@ class EpochEngine:
                 parent.hmac_stale = True
                 mark_dirty(parent, pcl)
                 images.append(seal(current, baddrs[depth], counters[slot]))
+                if is_eager and depth:
+                    recache(baddrs[depth], current)
                 nodes.append(parent)
                 current = parent
                 level, index = plevel, pindex
@@ -1080,6 +931,7 @@ class EpochEngine:
                 if entry[1] == slot:
                     effective += entry[2]
             seal(nodes[-1], baddrs[tree_levels - 1], effective & cmask)
+            recache(baddrs[tree_levels - 1], nodes[-1])
             return fetch_latency + hash_lat + stall
 
         def tail_plp(leaf, leaf_index, delta, cycle, maddr):
@@ -1215,7 +1067,7 @@ class EpochEngine:
             kind = access.kind
             if kind is READ:
                 loads.value += 1
-                miss, writebacks = load_step(line)
+                miss, writebacks, _ = load_step(line)
                 if miss:
                     if line < 0:
                         cb_of_data(line)  # raises like the scalar path
@@ -1272,7 +1124,7 @@ class EpochEngine:
                         attr["read_media"] += overlapped
             elif kind is WRITE:
                 stores.value += 1
-                writebacks = store_step(line)
+                _, writebacks, _ = store_step(line)
                 data = access.data
                 if data is not None:
                     if len(data) != 64:
@@ -1280,7 +1132,7 @@ class EpochEngine:
                     plaintexts[line] = bytes(data)
             else:  # PERSIST
                 persists.value += 1
-                writebacks = persist_step(line)
+                _, writebacks, _ = persist_step(line)
                 if line < 0:
                     cb_of_data(line)  # raises like the scalar path
                 (cpu_stall, fetch_latency, overflow_cycles, scheme_cycles,
@@ -1318,10 +1170,10 @@ class EpochEngine:
             # machine; cut both so refcounting frees a finished run.
             fetch_chain = flush_victim = None  # noqa: F811
         if self.replay is not None:
-            for counter, value in zip(cpu_counters,
+            for counter, value in zip(_cpu_counters(hierarchy),
                                       self.replay.counters[self.runs]):
                 counter.value = value
         elif record is not None:
-            record.counters.append(
-                tuple(counter.value for counter in cpu_counters))
+            record.counters.append(tuple(
+                counter.value for counter in _cpu_counters(hierarchy)))
         self.runs += 1

@@ -147,6 +147,31 @@ class TestOracle:
         assert clone.state_hashes == shard.state_hashes
 
 
+class TestFlushUnits:
+    """A 128 B direct-mapped metadata cache evicts dirty nodes, so the
+    recording carries ``_flush_node`` brackets and each becomes its own
+    persist unit; the sharded cuts and the oracle's verdicts hold."""
+
+    def explore(self, scheme):
+        recording = record_writes(
+            tiny_config(scheme=scheme, data_capacity=64 * 1024,
+                        metadata_cache_size=128, metadata_cache_ways=1),
+            [leaf * LEAF_BYTES for leaf in (0, 8, 1, 9, 0, 8)])
+        model = CrashStateModel(recording)
+        assert any(unit.kind == "flush" for unit in model.units)
+        assert sharded_cuts(model) == brute_force_cuts(model)
+        return explore_range(model, 0, len(model.units),
+                             workload="unit-test")
+
+    def test_clean_scue_recovers_every_cut(self):
+        shard = self.explore("scue")
+        assert shard.violations == []
+        assert shard.recovery_failures == 0
+
+    def test_clean_eager_has_no_violations(self):
+        assert self.explore("eager").violations == []
+
+
 class TestReporting:
     def broken_shard(self):
         config = tiny_config(scheme="eager")

@@ -50,6 +50,28 @@ class TestKnownGoodFixture:
         assert lint_file(FIXTURES / "good_clean.py") == []
 
 
+class TestHotPathCoversTheCpuHierarchy:
+    """RPL009 also scopes ``mem/hierarchy.py``, whose ``load``,
+    ``store`` and ``persist`` both engines call on every access.  Its
+    fixture pins a ``mem/`` path, which the BAD map's path check does
+    not list, so it rides here."""
+
+    def test_fixture_fires_once_in_the_hierarchy(self):
+        (violation,) = lint_file(FIXTURES / "bad_hierarchy_alloc.py")
+        assert violation.rule.name == "hot-path-allocation"
+        assert violation.path == "mem/hierarchy.py"
+        assert "'load'" in violation.message
+
+    def test_the_rest_of_mem_stays_out_of_scope(self, tmp_path):
+        path = tmp_path / "cache.py"
+        path.write_text(
+            "# reprolint-fixture-path: mem/cache.py\n"
+            "class Cache:\n"
+            "    def load(self, line_addr):\n"
+            "        return []\n")
+        assert lint_file(path, select=("RPL009",)) == []
+
+
 class TestUnexploredPersistBoundary:
     """RPL010 flags persistence the crash explorer cannot observe.  The
     fixture fires twice (a shadow root register and a poke_line), so it

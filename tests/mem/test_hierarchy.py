@@ -150,6 +150,27 @@ class TestNoStoreIsLost:
         assert unwritten <= set(h.drop_all())
 
 
+class TestSharedOutcomes:
+    """Writeback-free outcomes are shared constants: an access that
+    writes nothing back allocates nothing, in either engine."""
+
+    def test_two_l1_hits_return_the_same_object(self):
+        h = tiny_hierarchy()
+        h.load(0)
+        first = h.load(0)
+        assert first.hit_level == 1
+        assert h.load(0) is first
+        assert h.store(0) is first
+        assert h.persist(0) is first
+
+    def test_writeback_free_misses_share_one_outcome(self):
+        h = tiny_hierarchy()
+        first = h.load(0)
+        assert first.miss_to_memory and first.writebacks == ()
+        assert h.load(64) is first
+        assert h.persist(128) is first
+
+
 class TestCrash:
     def test_drop_all_reports_dirty_lines(self):
         h = tiny_hierarchy()

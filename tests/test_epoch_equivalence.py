@@ -38,7 +38,11 @@ halves of that promise:
   run, while driving :class:`~repro.sim.epoch.EpochEngine` directly
   refuses loudly;
 * a finished run leaves no reference cycle behind, so the simulated
-  machine is freed as soon as the last reference to it goes.
+  machine is freed as soon as the last reference to it goes;
+* the CPU caches have one model: with ``load``, ``store`` and
+  ``persist`` wrapped on a system's hierarchy the run stays eligible,
+  a live or recording engine calls the wrappers once per matching
+  trace row, and a replaying engine calls none of them.
 
 Every batched run here drives ``EpochEngine`` itself rather than
 ``engine="auto"``: it raises on an ineligible run, so a silent fallback
@@ -411,3 +415,69 @@ class TestFinishedRunIsFreed:
             assert nvm() is None
         finally:
             gc.enable()
+
+
+def count_hierarchy_calls(system: System) -> dict[str, int]:
+    """Wrap ``load``, ``store`` and ``persist`` on this system's
+    hierarchy instance; the returned dict counts their calls."""
+    calls = {"load": 0, "store": 0, "persist": 0}
+    hierarchy = system.hierarchy
+    for name in calls:
+        def counting(line, name=name, method=getattr(hierarchy, name)):
+            calls[name] += 1
+            return method(line)
+        setattr(hierarchy, name, counting)
+    return calls
+
+
+def calls_per_kind(trace) -> dict[str, int]:
+    step = {AccessType.READ: "load", AccessType.WRITE: "store",
+            AccessType.PERSIST: "persist"}
+    calls = {"load": 0, "store": 0, "persist": 0}
+    for access in trace:
+        calls[step[access.kind]] += 1
+    return calls
+
+
+class TestOneCacheModel:
+    """The epoch engine runs the CPU caches by calling the system's
+    :class:`~repro.mem.hierarchy.CacheHierarchy`, so wrapping its
+    methods is no reason to fall back, and the wrappers see what the
+    engine does."""
+
+    TRACE = store_heavy_trace(600, seed=5)
+
+    def test_a_wrapped_hierarchy_stays_eligible(self):
+        system = build_system("scue")
+        count_hierarchy_calls(system)
+        assert epoch.ineligible_reason(system) is None
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_live_engine_calls_the_hierarchy_once_per_row(self, scheme):
+        system = build_system(scheme)
+        calls = count_hierarchy_calls(system)
+        epoch.EpochEngine(system).run(iter(self.TRACE))
+        assert calls == calls_per_kind(self.TRACE)
+        scalar = run_trace(scheme, self.TRACE, "scalar")
+        assert result_digest(system.result("wrapped")) \
+            == result_digest(scalar.result("wrapped"))
+
+    def test_a_recording_engine_calls_it_once_per_row(self):
+        system = build_system("scue")
+        calls = count_hierarchy_calls(system)
+        recorded = epoch.CachePass()
+        epoch.EpochEngine(system, record=recorded).run(iter(self.TRACE))
+        assert calls == calls_per_kind(self.TRACE)
+        assert len(recorded.outcomes) == len(self.TRACE)
+
+    def test_a_replaying_engine_calls_none(self):
+        recorded = epoch.CachePass()
+        epoch.EpochEngine(build_system("scue"), record=recorded).run(
+            iter(self.TRACE))
+        system = build_system("lazy")
+        calls = count_hierarchy_calls(system)
+        epoch.EpochEngine(system, replay=recorded).run(iter(self.TRACE))
+        assert calls == {"load": 0, "store": 0, "persist": 0}
+        scalar = run_trace("lazy", self.TRACE, "scalar")
+        assert result_digest(system.result("replayed")) \
+            == result_digest(scalar.result("replayed"))
