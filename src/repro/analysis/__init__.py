@@ -2,23 +2,20 @@
 runtime crash-consistency sanitizer.
 
 The paper's whole argument is that the *ordering* of security-metadata
-persists decides whether the root survives a crash (§III-B) — so this
-package mechanically enforces that our own simulator code respects the
-persist domain it models, instead of relying on eyeballs:
+persists decides whether the root survives a crash (§III-B).  That
+order is checked at run time, on executed persists, and the lint
+guards the invariants no runtime check reaches:
 
-* :mod:`repro.analysis.lint` — "reprolint", a static lint built on a
-  real analysis framework: a per-function CFG builder
-  (:mod:`repro.analysis.cfg`), a worklist dataflow engine
-  (:mod:`repro.analysis.dataflow`) and a project-wide call graph
-  (:mod:`repro.analysis.callgraph`).  Flat single-module rules coexist
-  with interprocedural ones (a caller's ``wpq.enqueue`` credits a
-  callee's store), plus declarative persist-protocol conformance
-  (:mod:`repro.analysis.protocol`) proving the runtime sanitizer's
-  ordering rules on *all static paths*;
 * :mod:`repro.analysis.sanitizer` — a WITCHER-style runtime monitor
   that hooks the WPQ, the NVM device and the root registers, records a
   persist-order trace, and checks at every simulated crash point that
-  metadata persists obey the scheme's declared ordering rules.
+  metadata persists obey the scheme's declared ordering rules.  The
+  crash-state explorer (:mod:`repro.analysis.explorer`) replays the
+  same trace's legal crash cuts through recovery;
+* :mod:`repro.analysis.lint` — "reprolint", a static lint: flat
+  single-module AST rules plus project rules that run over a
+  per-function CFG (:mod:`repro.analysis.cfg`) and a project-wide call
+  graph (:mod:`repro.analysis.callgraph`).
 
 Each lint run is one pass over the whole tree and can export SARIF
 2.1.0 for code scanning (:mod:`repro.analysis.sarif`).
@@ -35,7 +32,6 @@ and attach the sanitizer inside tests with::
 
 from repro.analysis.callgraph import ProjectIndex
 from repro.analysis.cfg import CFG, build_cfg
-from repro.analysis.dataflow import ForwardAnalysis
 from repro.analysis.lint import Linter, ParsedModule
 from repro.analysis.rules import ALL_RULES, Violation, get_rule
 from repro.analysis.sanitizer import PersistOrderSanitizer, attach_sanitizer
@@ -43,7 +39,6 @@ from repro.analysis.sanitizer import PersistOrderSanitizer, attach_sanitizer
 __all__ = [
     "ALL_RULES",
     "CFG",
-    "ForwardAnalysis",
     "Linter",
     "ParsedModule",
     "PersistOrderSanitizer",

@@ -50,12 +50,6 @@ class FunctionInfo:
     module_key: str
     cls: "ClassInfo | None" = None
 
-    @property
-    def params(self) -> list[str]:
-        args = self.node.args
-        names = [a.arg for a in args.posonlyargs + args.args]
-        return names
-
     def __hash__(self) -> int:
         return hash(self.qualname)
 
@@ -66,8 +60,8 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class definition with its methods, bases and simple class
-    attributes (constant assignments plus inferred attribute types)."""
+    """One class definition with its methods, bases and inferred
+    attribute types."""
 
     name: str
     relpath: str
@@ -75,8 +69,6 @@ class ClassInfo:
     module_key: str
     bases: tuple[str, ...] = ()
     methods: dict[str, FunctionInfo] = field(default_factory=dict)
-    #: constant class-level attributes, e.g. ``name = "scue"``
-    const_attrs: dict[str, object] = field(default_factory=dict)
     #: inferred instance attribute types: ``self.store = SITStore(...)``
     attr_types: dict[str, str] = field(default_factory=dict)
 
@@ -206,11 +198,6 @@ class ProjectIndex:
                     cls=cls)
                 cls.methods[item.name] = info
                 self._register(info)
-            elif isinstance(item, ast.Assign):
-                for target in item.targets:
-                    if isinstance(target, ast.Name) and \
-                            isinstance(item.value, ast.Constant):
-                        cls.const_attrs[target.id] = item.value.value
         self.classes.setdefault(node.name, []).append(cls)
 
     def _register(self, info: FunctionInfo) -> None:
@@ -265,20 +252,6 @@ class ProjectIndex:
             base_cls = self.class_named(base)
             if base_cls is not None:
                 found = self.mro_method(base_cls, name, _depth + 1)
-                if found is not None:
-                    return found
-        return None
-
-    def mro_const_attr(self, cls: ClassInfo, attr: str,
-                       _depth: int = 0) -> object | None:
-        if _depth > 8:
-            return None
-        if attr in cls.const_attrs:
-            return cls.const_attrs[attr]
-        for base in cls.bases:
-            base_cls = self.class_named(base)
-            if base_cls is not None:
-                found = self.mro_const_attr(base_cls, attr, _depth + 1)
                 if found is not None:
                     return found
         return None

@@ -4,9 +4,9 @@
 :class:`Block`\\ s whose statements are *leaf* AST nodes only — compound
 statements contribute their guard expressions (an ``if``/``while`` test,
 a ``for`` target, a ``with`` context expression, a ``match`` subject) to
-the blocks and their bodies become further blocks.  That property is what
-makes the dataflow engine sound: walking a stored node with ``ast.walk``
-never reaches statements that belong to a different block.
+the blocks and their bodies become further blocks.  The rules rely on
+that property: walking a stored node with ``ast.walk`` never reaches
+statements that belong to a different block.
 
 Handled control flow: ``if``/``elif``/``else``, ``while``/``else`` (with
 constant-test pruning so ``while True:`` has no false edge), ``for``/
@@ -27,16 +27,13 @@ interference *after* the body's last leaf statement.  Query with
 :meth:`CFG.interferes` / :meth:`CFG.interferes_after`; the atomicity
 pass (:mod:`repro.analysis.atomicity`) is built on these marks.
 
-Deliberate approximations, chosen to be conservative for the must-
-analyses built on top (extra paths can only *remove* facts, never invent
-them):
+Deliberate approximations:
 
 * a ``finally`` body is built once and acts as a join point — all exits
   that route through it (fall-through, ``return``, ``raise``, ``break``)
   share its blocks and its outgoing continuation edges;
 * exception edges into ``except`` handlers leave from the block *before*
-  the ``try`` (the handler therefore sees the facts held at try entry,
-  never facts established inside the body);
+  the ``try``, never from inside its body;
 * ``assert`` and arbitrary raising expressions do not get their own
   exceptional edges.
 
@@ -83,7 +80,7 @@ class Block:
 
 
 class CFG:
-    """The finished graph plus a node -> (block, index) locator."""
+    """The finished graph plus its interference points."""
 
     def __init__(self, func: ast.FunctionDef | ast.AsyncFunctionDef,
                  blocks: list[Block], entry: Block, exit_block: Block,
@@ -95,12 +92,10 @@ class CFG:
         self.entry = entry
         self.exit = exit_block
         self.raise_exit = raise_exit
-        self._loc: dict[int, tuple[Block, int]] = {}
         self._interference: set[int] = set(interference or ())
         self._post_interference: set[int] = set(post_interference or ())
         for block in blocks:
-            for idx, node in enumerate(block.stmts):
-                self._loc[id(node)] = (block, idx)
+            for node in block.stmts:
                 # The leaf property guarantees ast.walk stays inside
                 # this block, so an Await found here belongs here.
                 if any(isinstance(sub, ast.Await) for sub in ast.walk(node)):
@@ -127,9 +122,6 @@ class CFG:
         return [node for _, _, node in self.nodes()
                 if id(node) in self._interference
                 or id(node) in self._post_interference]
-
-    def location(self, node: ast.AST) -> tuple[Block, int] | None:
-        return self._loc.get(id(node))
 
     def nodes(self) -> Iterator[tuple[Block, int, ast.AST]]:
         for block in self.blocks:
@@ -253,8 +245,7 @@ class _Builder:
         for stmt in stmts:
             if current is None:
                 # Dead code after a terminator: still build its blocks
-                # (they stay unreachable, which the dataflow engine
-                # treats as "no facts to check").
+                # (they stay unreachable: no edge leads into them).
                 current = self._new()
             current = self._stmt(stmt, current)
         return current

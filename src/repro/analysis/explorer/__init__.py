@@ -1,7 +1,7 @@
 """Exhaustive crash-state model checking (docs/crash-exploration.md).
 
 The package records a run's persist-event stream, enumerates every
-legal persist-order crash cut (pruned by protocol-spec ordering,
+legal persist-order crash cut (pruned by each scheme's branch order,
 canonical state hashing, and branch commutativity), and verifies each
 reachable crash state with a two-sided recovery oracle.
 

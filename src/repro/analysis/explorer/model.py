@@ -19,14 +19,14 @@ granules of the hardware model:
 Units are ordered by a **conflict partial order** built from events:
 unit A precedes B iff some non-enqueue event of A conflicts with a
 later non-enqueue event of B.  Two events conflict when they touch the
-same NVM line, the same ``(register, slot)``, or — only when the scheme
-publishes a :class:`~repro.analysis.protocol.ProtocolSpec` — the same
-tree branch (interned ``branch_coords`` ancestors).  The spec is what
-*licenses* same-branch ordering: its ``Precedes`` obligations are the
-scheme's hardware-enforced persist order, so branch-overlapping units
-may not reorder.  Schemes without a spec get only the physical
-(same-line/same-register) edges — strictly more interleavings, i.e.
-the conservative direction.
+same NVM line, the same ``(register, slot)``, or — only for a scheme in
+:data:`~repro.analysis.explorer.seams.ORDERED_SCHEMES` — the same tree
+branch (interned ``branch_coords`` ancestors).  Membership is what
+*licenses* same-branch ordering: those schemes' hardware enforces a
+persist order on a branch (SCUE's shortcut root before the leaf,
+the eager family bottom-up), so branch-overlapping units may not
+reorder.  Other schemes get only the physical (same-line/same-register)
+edges — strictly more interleavings, i.e. the conservative direction.
 
 The unit graph is topologically reindexed (a cycle, which no recorded
 run has produced, raises :class:`~repro.errors.SimulationError`), after
@@ -48,7 +48,7 @@ from repro.analysis.explorer.record import (
     KIND_ENQUEUE, KIND_LINE, KIND_REG_ADD, KIND_REG_SET,
     PersistEvent, Recording,
 )
-from repro.analysis.protocol import spec_for
+from repro.analysis.explorer.seams import ORDERED_SCHEMES
 from repro.errors import SimulationError
 from repro.mem.address import Region
 
@@ -90,7 +90,7 @@ class CrashStateModel:
         self.recording = recording
         self.max_lag = max_lag
         self.amap = recording.config.address_map()
-        self.spec = spec_for(recording.scheme)
+        self.ordered = recording.scheme in ORDERED_SCHEMES
         self.units = self._build_units()
         self._event_domains = self._domain_table()
         self._link_units()
@@ -154,7 +154,6 @@ class CrashStateModel:
 
     def _domain_table(self) -> dict[int, frozenset]:
         """seq -> conflict tokens of that event (enqueues: empty)."""
-        use_branches = self.spec is not None
         table: dict[int, frozenset] = {}
         for unit in self.units:
             for event in unit.events:
@@ -162,7 +161,7 @@ class CrashStateModel:
                     table[event.seq] = frozenset()
                 elif event.kind == KIND_LINE:
                     tokens = {("line", event.addr)}
-                    if use_branches:
+                    if self.ordered:
                         tokens.update(("branch", c)
                                       for c in self._branch_of(event))
                     table[event.seq] = frozenset(tokens)

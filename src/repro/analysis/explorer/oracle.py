@@ -13,8 +13,8 @@ node must agree with the dummy counter of every child leaf whose last
 durable write precedes it in the recorded stream (newer leaves make the
 parent stale, which counter-summing recovery legitimately ignores).
 
-**False abort** — recovery failed on a state the protocol spec proves
-consistent.  Only schemes whose design claims root crash consistency
+**False abort** — recovery failed on a state the scheme's persist order
+allows.  Only schemes whose design claims root crash consistency
 at every cut (``crash_consistent_root``) are held to this; the eager
 family's recovery window (paper Fig. 5b) makes mid-window failures
 expected rather than violations.

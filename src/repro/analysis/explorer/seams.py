@@ -1,4 +1,4 @@
-"""Registered explorer event seams.
+"""Registered explorer event seams and the persist-order families.
 
 The crash-state explorer (:mod:`repro.analysis.explorer`) can only model
 persists it observes.  This module is the single source of truth for
@@ -6,7 +6,10 @@ persists it observes.  This module is the single source of truth for
 recorder (:mod:`repro.analysis.explorer.record`, which also feeds the
 persist-order sanitizer) and the static reprolint rule RPL010
 ``unexplored-persist-boundary`` that refuses to let a new scheme
-persist metadata behind the recorder's back.
+persist metadata behind the recorder's back.  It also names which
+schemes promise a persist order: the sanitizer picks its rules from
+:data:`EAGER_FAMILY`, and the explorer's crash-state model keeps
+same-branch persists of :data:`ORDERED_SCHEMES` in order.
 
 Kept deliberately import-light (stdlib only): reprolint imports these
 constants at startup and must not drag the simulator in with them.
@@ -34,3 +37,15 @@ SEAM_METHODS = (
     "nvm.write_line",
     "crash",
 )
+
+#: Schemes that persist a branch bottom-up (Fig 6a/6b): a counter block
+#: reaches the persist domain before any of its SIT ancestors in the
+#: same operation.  The sanitizer's ``leaf-before-parent`` rule checks
+#: them.
+EAGER_FAMILY = frozenset({"eager", "plp", "lazy", "bmt-eager"})
+
+#: Schemes whose hardware orders persists on one tree branch: the eager
+#: family, plus SCUE, whose Recovery_root update precedes the leaf
+#: persist (§IV-A2).  The explorer lets units that share a branch
+#: reorder only for schemes outside this set.
+ORDERED_SCHEMES = EAGER_FAMILY | {"scue"}

@@ -4,13 +4,15 @@ Two kinds of checks coexist:
 
 * **flat rules** (:class:`LintRule`) — single-module AST scans:
   RPL004, RPL005 and RPL009–RPL011;
-* **project rules** (:class:`ProjectRule`) — path-sensitive checks that
-  run once over the whole scanned tree with a
-  :class:`~repro.analysis.callgraph.ProjectIndex` in hand: the
-  interprocedural RPL001 and the protocol checker RPL007 built on the
-  CFG + dataflow engine (:mod:`repro.analysis.cfg` /
-  :mod:`repro.analysis.dataflow` / :mod:`repro.analysis.protocol`),
-  plus the async and file-write rules RPL012–RPL014.
+* **project rules** (:class:`ProjectRule`) — checks that run once over
+  the whole scanned tree with a
+  :class:`~repro.analysis.callgraph.ProjectIndex` (call graph plus
+  per-function CFGs) in hand: the async and file-write rules
+  RPL012–RPL014.
+
+Persist order is not linted: the runtime sanitizer
+(:mod:`repro.analysis.sanitizer`) and the crash-state explorer check it
+on executed runs (docs/analysis.md, "Retired rules").
 
 Both kinds produce the same :class:`~repro.analysis.rules.Violation`
 records, honour the same ``# reprolint: disable=<rule>`` suppression
@@ -29,9 +31,7 @@ from repro.analysis.atomicity import (
     check_blocking_calls,
 )
 from repro.analysis.callgraph import FunctionInfo, ProjectIndex
-from repro.analysis.dataflow import Facts, ForwardAnalysis
 from repro.analysis.explorer.seams import EXPLORED_ROOT_REGISTERS
-from repro.analysis.protocol import check_protocols
 from repro.analysis.rules import ALL_RULES, RuleInfo, Violation, get_rule
 
 _SUPPRESS_RE = re.compile(r"#\s*reprolint:\s*disable=([\w\-, ]+)")
@@ -140,261 +140,6 @@ class ProjectRule(LintRule):
 
 
 # ======================================================================
-# RPL001 — every persist attributable to ADR semantics (interprocedural)
-# ======================================================================
-class NvmDirectStoreRule(ProjectRule):
-    """A counted ``write_line`` must be covered by a WPQ ``enqueue`` on
-    every static path — in the same function or in every caller leading
-    to it.  The upgrade from the flat rule: an enqueue performed by the
-    caller (``_persist_node`` enqueues, ``SITStore.save`` stores) now
-    satisfies the rule, so ``tree/store.py`` no longer needs a blanket
-    exclusion; conversely a *branch* that reaches the store without the
-    enqueue is flagged even when the happy path enqueues.
-
-    ``poke_line`` is no longer a tracked store: poke paths are the
-    deliberate crash-injection surface (the runtime sanitizer leaves
-    them unhooked for the same reason).  Call sites that falsify a
-    parameter guard protecting the store (``save(node, counted=False)``
-    against ``if counted: write_line``) are exempt — the store cannot
-    execute on that edge."""
-
-    name = "nvm-direct-store"
-    exclude = ("mem/", "crash/", "analysis/")
-
-    _STORE_CALLS = ("write_line",)
-    _ENQ = "enq"
-
-    def check_project(self, modules: list[ParsedModule],
-                      index: ProjectIndex) -> Iterator[Violation]:
-        mods = self.by_relpath(modules)
-        self._analyses: dict[str, ForwardAnalysis] = {}
-        self._always_enq: dict[str, bool] = {}
-        self._stmt_maps: dict[str, dict[int, ast.AST]] = {}
-        self._index = index
-        for fn in index.functions.values():
-            if fn.relpath not in mods or not self.applies(fn.relpath):
-                continue
-            cfg = index.cfg(fn)
-            stores = [(stmt, call) for _, _, stmt in cfg.nodes()
-                      for call in self._stores_in(stmt)]
-            if not stores:
-                continue
-            analysis = self._enq_analysis(fn)
-            for stmt, call in stores:
-                facts = analysis.facts_before(stmt)
-                if facts is None:  # unreachable
-                    continue
-                if self._ENQ in facts or self._gens_enq(stmt, fn):
-                    continue
-                if self._covered_by_callers(fn, call):
-                    continue
-                yield self.violation_at(
-                    mods, fn.relpath, call.lineno, call.col_offset + 1,
-                    f"direct NVM store '{_dotted(call.func)}' is not "
-                    "covered by a wpq.enqueue on every path — neither "
-                    f"'{fn.name}' nor its callers enqueue before this "
-                    "store, so the persist is invisible to the ADR "
-                    "crash model")
-        for mod in modules:
-            if self.applies(mod.relpath):
-                yield from self._unindexed_scopes(mod, index)
-
-    # -- store/enqueue detection ---------------------------------------
-    def _stores_in(self, stmt: ast.AST) -> list[ast.Call]:
-        return [node for node in ast.walk(stmt)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._STORE_CALLS]
-
-    def _gens_enq(self, stmt: ast.AST, fn: FunctionInfo) -> bool:
-        for node in ast.walk(stmt):
-            if not isinstance(node, ast.Call):
-                continue
-            if isinstance(node.func, ast.Attribute) and \
-                    node.func.attr == "enqueue":
-                return True
-            res = self._index.resolve_call(node, fn)
-            if res.exact and len(res.targets) == 1 and \
-                    self._always_enqueues(res.targets[0]):
-                return True
-        return False
-
-    def _always_enqueues(self, fn: FunctionInfo) -> bool:
-        """Does every path through ``fn`` perform an enqueue?"""
-        cached = self._always_enq.get(fn.qualname)
-        if cached is not None:
-            return cached
-        # Provisional False breaks recursion cycles (a recursive helper
-        # is conservatively assumed not to enqueue on every path).
-        self._always_enq[fn.qualname] = False
-        exit_facts = self._enq_analysis(fn).facts_at_exit()
-        result = exit_facts is not None and self._ENQ in exit_facts
-        self._always_enq[fn.qualname] = result
-        return result
-
-    def _enq_analysis(self, fn: FunctionInfo) -> ForwardAnalysis:
-        got = self._analyses.get(fn.qualname)
-        if got is None:
-            def flow(facts: Facts, node: ast.AST) -> Facts:
-                if self._gens_enq(node, fn):
-                    return facts | {self._ENQ}
-                return facts
-            got = ForwardAnalysis(self._index.cfg(fn), flow)
-            self._analyses[fn.qualname] = got
-        return got
-
-    # -- caller credit ---------------------------------------------------
-    def _stmt_map(self, fn: FunctionInfo) -> dict[int, ast.AST]:
-        """id(any AST node) -> the CFG leaf statement containing it."""
-        got = self._stmt_maps.get(fn.qualname)
-        if got is None:
-            got = {}
-            for _, _, stmt in self._index.cfg(fn).nodes():
-                for sub in ast.walk(stmt):
-                    got[id(sub)] = stmt
-            self._stmt_maps[fn.qualname] = got
-        return got
-
-    def _covered_by_callers(self, fn: FunctionInfo,
-                            store: ast.Call) -> bool:
-        guards = _param_guards(fn, store)
-        callers = self._index.callers_of(fn)
-        if not callers:
-            return False
-        for caller, call in callers:
-            if not self.applies(caller.relpath):
-                continue  # exempt domain (crash injection, devices)
-            if guards and _site_falsifies(call, guards, fn.params):
-                continue  # this edge cannot reach the store
-            if not self._site_has_enqueue(caller, call, {fn.qualname}):
-                return False
-        return True
-
-    def _site_has_enqueue(self, caller: FunctionInfo, call: ast.Call,
-                          visited: set[str]) -> bool:
-        stmt = self._stmt_map(caller).get(id(call))
-        if stmt is None:
-            return True  # call inside a nested def: out of scope
-        facts = self._enq_analysis(caller).facts_before(stmt)
-        if facts is None:
-            return True  # unreachable call site
-        if self._ENQ in facts or self._gens_enq(stmt, caller):
-            # The stmt's own enqueue-gen covers helper chains like
-            # "stall = enqueue(...) + helper_that_stores(...)".
-            return True
-        return self._entry_credited(caller, visited)
-
-    def _entry_credited(self, fn: FunctionInfo,
-                        visited: set[str]) -> bool:
-        """Every exact call path into ``fn`` carries an enqueue."""
-        if fn.qualname in visited:
-            return False
-        visited = visited | {fn.qualname}
-        callers = self._index.callers_of(fn)
-        if not callers:
-            return False
-        return all(
-            not self.applies(caller.relpath)
-            or self._site_has_enqueue(caller, call, visited)
-            for caller, call in callers)
-
-    # -- fallback for code outside indexed functions ---------------------
-    def _unindexed_scopes(self, mod: ParsedModule,
-                          index: ProjectIndex) -> Iterator[Violation]:
-        """Module-level / nested-function stores keep the original flat
-        'enqueue earlier in the same scope' check."""
-        indexed = {id(fn.node) for fn in index.functions.values()
-                   if fn.relpath == mod.relpath}
-        scopes: dict[int, dict[str, list[ast.Call]]] = {}
-
-        def visit(node: ast.AST, scope_id: int, skip: bool) -> None:
-            for child in ast.iter_child_nodes(node):
-                child_scope, child_skip = scope_id, skip
-                if isinstance(child, (ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                    child_scope = id(child)
-                    child_skip = id(child) in indexed
-                if not child_skip and isinstance(child, ast.Call) and \
-                        isinstance(child.func, ast.Attribute):
-                    attr = child.func.attr
-                    bucket = scopes.setdefault(
-                        scope_id, {"enqueue": [], "store": []})
-                    if attr == "enqueue":
-                        bucket["enqueue"].append(child)
-                    elif attr in self._STORE_CALLS:
-                        bucket["store"].append(child)
-                visit(child, child_scope, child_skip)
-
-        visit(mod.tree, id(mod.tree), False)
-        for bucket in scopes.values():
-            enqueue_lines = [c.lineno for c in bucket["enqueue"]]
-            first_enqueue = min(enqueue_lines) if enqueue_lines else None
-            for call in bucket["store"]:
-                if first_enqueue is not None and \
-                        call.lineno >= first_enqueue:
-                    continue
-                yield self.violation(
-                    mod, call,
-                    f"direct NVM store '{_dotted(call.func)}' with no "
-                    "preceding wpq.enqueue in this scope — the persist "
-                    "is invisible to the ADR crash model")
-
-
-def _param_guards(fn: FunctionInfo,
-                  target: ast.AST) -> list[tuple[str, bool]]:
-    """Enclosing ``if <param>:`` / ``if not <param>:`` guards of
-    ``target``: (param name, truth value required to reach it)."""
-    parents: dict[int, ast.AST] = {}
-    for node in ast.walk(fn.node):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    params = set(fn.params)
-    guards: list[tuple[str, bool]] = []
-    current: ast.AST = target
-    while id(current) in parents:
-        parent = parents[id(current)]
-        if isinstance(parent, ast.If):
-            in_body = any(current is stmt or any(
-                sub is current for sub in ast.walk(stmt))
-                for stmt in parent.body)
-            in_else = not in_body and any(current is stmt or any(
-                sub is current for sub in ast.walk(stmt))
-                for stmt in parent.orelse)
-            test = parent.test
-            name, positive = "", True
-            if isinstance(test, ast.Name):
-                name = test.id
-            elif isinstance(test, ast.UnaryOp) and \
-                    isinstance(test.op, ast.Not) and \
-                    isinstance(test.operand, ast.Name):
-                name, positive = test.operand.id, False
-            if name in params and (in_body or in_else):
-                guards.append((name, positive if in_body else not positive))
-        current = parent
-    return guards
-
-
-def _site_falsifies(call: ast.Call, guards: list[tuple[str, bool]],
-                    params: list[str]) -> bool:
-    """Does this call site pass a literal argument contradicting a guard
-    the store sits under?"""
-    offset = 1 if params and params[0] in ("self", "cls") else 0
-    for param, needed in guards:
-        value: ast.expr | None = None
-        for kw in call.keywords:
-            if kw.arg == param:
-                value = kw.value
-        if value is None and param in params:
-            pos = params.index(param) - offset
-            if 0 <= pos < len(call.args):
-                value = call.args[pos]
-        if isinstance(value, ast.Constant) and \
-                bool(value.value) != needed:
-            return True
-    return False
-
-
-# ======================================================================
 # RPL004 — no assert-based runtime validation
 # ======================================================================
 class BareAssertRule(LintRule):
@@ -441,27 +186,6 @@ class StatCounterDisciplineRule(LintRule):
                     f"'{_dotted(receiver.func)}(...).add(...)' "
                     "registers the statistic at increment time — bind "
                     "it to an attribute at construction instead")
-
-
-# ======================================================================
-# RPL007 — persist-protocol conformance
-# ======================================================================
-class PersistProtocolRule(ProjectRule):
-    """Every scheme's declared persist-ordering obligations, proven on
-    all static paths (the engine lives in
-    :mod:`repro.analysis.protocol`)."""
-
-    name = "persist-protocol"
-    paths = ("secure/",)
-
-    def check_project(self, modules: list[ParsedModule],
-                      index: ProjectIndex) -> Iterator[Violation]:
-        mods = self.by_relpath(modules)
-        for finding in check_protocols(index):
-            if not self.applies(finding.relpath):
-                continue
-            yield self.violation_at(mods, finding.relpath, finding.line,
-                                    finding.column, finding.message)
 
 
 # ======================================================================
@@ -884,8 +608,6 @@ _FLAT_RULE_CLASSES: tuple[type[LintRule], ...] = (
 )
 
 _PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
-    NvmDirectStoreRule,
-    PersistProtocolRule,
     AwaitAtomicityRule,
     TornFileWriteRule,
     BlockingCallInAsyncRule,

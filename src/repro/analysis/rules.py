@@ -28,20 +28,6 @@ class RuleInfo:
 #: The registry, in report order.
 ALL_RULES: tuple[RuleInfo, ...] = (
     RuleInfo(
-        id="RPL001",
-        name="nvm-direct-store",
-        summary="NVM store mutation not attributable to the WPQ / "
-                "crash-injection APIs",
-        rationale="The WPQ is the ADR persistence domain (Table II): a "
-                  "write_line call not covered by a wpq.enqueue on "
-                  "every static path — in the same function or in "
-                  "every caller leading to it — is a persist the crash "
-                  "model cannot see, so crash injection would silently "
-                  "disagree with the timing model.  (poke_line is the "
-                  "deliberate crash-injection backdoor and is exempt, "
-                  "matching the runtime sanitizer.)",
-    ),
-    RuleInfo(
         id="RPL004",
         name="bare-assert",
         summary="bare assert used for runtime validation in library "
@@ -60,23 +46,6 @@ ALL_RULES: tuple[RuleInfo, ...] = (
                   "counter(...).add(...) silently mints a new counter "
                   "on typo, and per-event registration costs the hot "
                   "path.  Bind counters once at construction.",
-    ),
-    RuleInfo(
-        id="RPL007",
-        name="persist-protocol",
-        summary="scheme violates its declared persist-ordering "
-                "protocol on some static path",
-        rationale="Each secure-memory scheme declares ordering "
-                  "obligations derived from the paper's crash-"
-                  "consistency argument — SCUE must update the "
-                  "recovery root before the shortcut leaf persist "
-                  "(§IV-A2), the eager family must persist leaves "
-                  "before tree ancestors (Fig 6a/6b).  The checker "
-                  "proves the obligation on every static path through "
-                  "the anchor method and its helpers; a single "
-                  "uncovered branch is a crash window the runtime "
-                  "sanitizer can only catch if a workload happens to "
-                  "drive that branch.",
     ),
     RuleInfo(
         id="RPL009",

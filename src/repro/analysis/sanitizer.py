@@ -20,14 +20,15 @@ Per-scheme rules (selected automatically from ``controller.name``):
   must be preceded by a WPQ enqueue of the same line (every persist is
   attributable to ADR semantics; ``poke_line`` injection paths are
   deliberately unhooked);
-* eager-family (``eager``, ``plp``, ``lazy``, ``bmt-eager``) —
-  :class:`LeafBeforeParentRule`: when a protocol persist (not a cache
+* eager family (:data:`~repro.analysis.explorer.seams.EAGER_FAMILY`)
+  — :class:`LeafBeforeParentRule`: when a protocol persist (not a cache
   eviction) pushes both a counter block and one of its SIT ancestors in
   the same operation cycle, the counter block must go first, matching
   the bottom-up update discipline of Fig 6a/6b;
 * ``scue`` — :class:`ShortcutRootRule`: a counter-block persist must be
-  covered by a preceding ``Recovery_root`` shortcut update (§IV-A2 —
-  the root may never lag the persisted leaves), plus
+  covered by a preceding ``Recovery_root`` shortcut update in the same
+  ``write_data`` operation (§IV-A2 — the root may never lag the
+  persisted leaves), plus
   :class:`RecoveryRootSumRule`: at the crash point the Recovery_root
   must equal the per-subtree sums of the on-media leaf dummy counters,
   the exact §IV-B counter-summing invariant recovery relies on.
@@ -44,6 +45,7 @@ from collections import deque
 from repro.analysis.explorer.record import (
     KIND_ENQUEUE, KIND_LINE, KIND_REG_ADD, PersistEvent, PersistRecorder,
 )
+from repro.analysis.explorer.seams import EAGER_FAMILY
 from repro.errors import PersistOrderingError
 from repro.mem.address import Region
 
@@ -136,15 +138,23 @@ class LeafBeforeParentRule(SanitizerRule):
 
 class ShortcutRootRule(SanitizerRule):
     """SCUE §IV-A2: the Recovery_root shortcut update precedes the leaf
-    persist, so the root register never lags the persisted leaves."""
+    persist, so the root register never lags the persisted leaves.
+
+    Credits count per ``write_data`` operation: an earlier write's add
+    must not cover a persist that ran before this write's own add (a
+    deferred-mode Osiris writeback, say)."""
 
     name = "shortcut-root-before-leaf"
 
     def __init__(self, sanitizer: "PersistOrderSanitizer") -> None:
         super().__init__(sanitizer)
+        self._op = -1
         self._credits = 0
 
     def on_event(self, event: PersistEvent) -> None:
+        if event.op != self._op:
+            self._op = event.op
+            self._credits = 0
         if event.kind == KIND_REG_ADD and \
                 event.register == "recovery_root":
             self._credits += 1
@@ -198,14 +208,11 @@ class RecoveryRootSumRule(SanitizerRule):
                     "(§IV-B) would wrongly report an attack")
 
 
-_EAGER_FAMILY = ("eager", "plp", "lazy", "bmt-eager")
-
-
 def rules_for(sanitizer: "PersistOrderSanitizer") -> list[SanitizerRule]:
     """The declared ordering rules for the attached controller."""
     controller = sanitizer.controller
     rules: list[SanitizerRule] = [AttributablePersistRule(sanitizer)]
-    if controller.name in _EAGER_FAMILY:
+    if controller.name in EAGER_FAMILY:
         rules.append(LeafBeforeParentRule(sanitizer))
     if controller.name == "scue":
         rules.append(ShortcutRootRule(sanitizer))

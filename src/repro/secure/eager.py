@@ -123,13 +123,15 @@ class EagerController(SecureMemoryController):
         slot = self.amap.parent_slot(index)
         hash_latency = self.hash_engine.charge(
             self.amap.tree_levels, parallel=self.parallel_hashing)
-        wpq_stall = self._persist_node(leaf, cycle) \
-            if self.config.leaf_write_through else 0
         self._window_extra = fetch_latency + self.hash_engine.latency_cycles
         self._pending_root.append(
             [None, slot, dummy_delta])  # reprolint: disable=hot-path-allocation
         addr = self.store.node_addr(level, index)
+        # Seal the top before the leaf persists: in a single-level tree
+        # the leaf *is* the top node, and media must get its final HMAC.
         current.seal(self.mac, addr, self._root_counter(index))
+        wpq_stall = self._persist_node(leaf, cycle) \
+            if write_through else 0
         self._recache(addr, current)
         if self.obs.enabled:
             self.obs.instant(ev.EV_LEAF_PERSIST, ev.TRACK_CTL,

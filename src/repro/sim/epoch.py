@@ -921,7 +921,6 @@ class EpochEngine:
             slot = top_index % arity
             hashes.value += tree_levels
             busy.value += hash_lat  # charge(tree_levels, parallel=True)
-            stall = persist_node(maddr, images[0], cycle)
             ctl._window_extra = fetch_latency + hash_lat
             pending = ctl._pending_root
             pending.append([None, slot, delta])
@@ -931,6 +930,7 @@ class EpochEngine:
                 if entry[1] == slot:
                     effective += entry[2]
             seal(nodes[-1], baddrs[tree_levels - 1], effective & cmask)
+            stall = persist_node(maddr, images[0], cycle)
             recache(baddrs[tree_levels - 1], nodes[-1])
             return fetch_latency + hash_lat + stall
 

@@ -1,13 +1,10 @@
-# reprolint-fixture-path: secure/broken_schemes.py
 """Seeded-bug schemes for ``tests/analysis/test_broken_schemes.py``.
-The ordering bug is caught by BOTH halves of the tooling: the static
-protocol rule (RPL007, proven on all paths without running a single
-cycle) and the runtime sanitizer (which needs a workload to drive the
-broken path).  The dropped verify result is caught at runtime, by
-the integrity check a clean controller performs.
+The ordering bug is caught by the runtime sanitizer's bottom-up rule
+once a workload drives the broken path.  The dropped verify result is
+caught by the integrity check a clean controller performs.
 
 The module is genuinely runnable — both schemes construct and execute
-writes — so the dynamic half of the test is honest."""
+writes — so the tests drive real controllers."""
 
 from repro.obs import events as ev
 from repro.secure.eager import EagerController
@@ -15,9 +12,9 @@ from repro.secure.scue import SCUEController
 
 
 class BrokenEagerScheme(EagerController):
-    """Persists the freshly-bumped PARENT before the leaf — across a
-    call boundary, so the flat (single-function) lint cannot see it.
-    This inverts the eager family's bottom-up obligation (Fig 6a/6b):
+    """Persists the freshly-bumped PARENT before the leaf, inside a
+    helper the hook calls.  This inverts the eager family's bottom-up
+    obligation (Fig 6a/6b):
     a crash between the two persists leaves a durable ancestor whose
     counter sum no longer matches its still-volatile leaf."""
 

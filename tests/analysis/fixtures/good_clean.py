@@ -7,12 +7,6 @@ every rule must stay quiet on this file."""
 from repro.errors import IntegrityError
 
 
-def persist_with_adr(controller, addr, data, cycle):
-    stall = controller.wpq.enqueue(addr, cycle, metadata=True)
-    controller.nvm.write_line(addr, data)
-    return stall
-
-
 def validate(cycle):
     if cycle < 0:
         raise IntegrityError("negative cycle")

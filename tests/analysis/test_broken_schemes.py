@@ -1,15 +1,13 @@
-"""Seeded-bug cross-validation: RPL007's parent-before-leaf inversion
-is caught both statically and live by the runtime sanitizer's bottom-up
-ordering rule.  The dropped verify result is checked dynamically only:
-a tampered node sails through the broken scheme while a clean
-controller rejects it."""
+"""Seeded bugs caught at run time: the parent-before-leaf inversion
+trips the sanitizer's bottom-up ordering rule, and with the verify
+result dropped a tampered node sails through the broken scheme while a
+clean controller rejects it."""
 
 import random
-from pathlib import Path
 
 import pytest
 
-from repro.analysis import Linter, attach_sanitizer
+from repro.analysis import attach_sanitizer
 from repro.errors import IntegrityError, PersistOrderingError
 from repro.secure.scue import SCUEController
 
@@ -18,16 +16,6 @@ from tests.analysis.fixtures.broken_schemes import (
     DroppedVerifyScheme,
 )
 from tests.conftest import small_config
-
-FIXTURE = Path(__file__).parent / "fixtures" / "broken_schemes.py"
-
-
-def marker_line(marker):
-    for lineno, text in enumerate(FIXTURE.read_text().splitlines(), 1):
-        if marker in text:
-            return lineno
-    raise AssertionError(f"marker {marker!r} not found in fixture")
-
 
 def run_writes(controller, n=40, seed=11):
     rng = random.Random(seed)
@@ -55,22 +43,6 @@ def tamper_counter_block(controller):
     image = bytearray(controller.nvm.peek_line(addr))
     image[4] ^= 0x40
     controller.nvm.poke_line(addr, bytes(image))
-
-
-class TestStaticHalf:
-    """The lint proves the ordering bug on all static paths — no
-    workload."""
-
-    def test_exactly_the_seeded_rule_fires(self):
-        violations = Linter(FIXTURE).run()
-        assert [v.rule.name for v in violations] == ["persist-protocol"]
-
-    def test_rpl007_lands_on_the_cross_call_parent_persist(self):
-        (v,) = [v for v in Linter(FIXTURE).run()
-                if v.rule.name == "persist-protocol"]
-        # The inversion lives in a HELPER the anchor calls — the line
-        # flat per-function scanning could never attribute.
-        assert v.line == marker_line("# ancestor first: bug")
 
 
 class TestDynamicHalf:

@@ -27,10 +27,11 @@ class TestExitCodes:
         assert main([BAD, "--select", "RPL004"]) == 1
 
     def test_select_retired_rule_is_a_usage_error(self, capsys):
-        # RPL002/003/006/008 were retired in favour of the runtime
-        # checks that already enforce their invariants.
-        for rule_id in ("RPL002", "RPL003", "RPL006", "RPL008"):
-            assert main([BAD, "--select", rule_id]) == 2
+        # RPL001/002/003/006/007/008 were retired in favour of the
+        # runtime checks that already enforce their invariants.
+        for rule in ("RPL001", "RPL002", "RPL003", "RPL006", "RPL007",
+                     "RPL008", "nvm-direct-store", "persist-protocol"):
+            assert main([BAD, "--select", rule]) == 2
 
 
 class TestJsonOutput:
@@ -49,11 +50,11 @@ class TestListRules:
     def test_every_rule_described(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RPL001", "RPL004", "RPL005", "RPL007",
-                        "RPL009", "RPL010", "RPL011", "RPL012",
-                        "RPL013", "RPL014"):
+        for rule_id in ("RPL004", "RPL005", "RPL009", "RPL010",
+                        "RPL011", "RPL012", "RPL013", "RPL014"):
             assert rule_id in out
-        for rule_id in ("RPL002", "RPL003", "RPL006", "RPL008"):
+        for rule_id in ("RPL001", "RPL002", "RPL003", "RPL006",
+                        "RPL007", "RPL008"):
             assert rule_id not in out
 
 

@@ -14,10 +14,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 #: fixture file -> the one rule it must trip.
 BAD = {
-    "bad_nvm_store.py": "nvm-direct-store",
     "bad_bare_assert.py": "bare-assert",
     "bad_stat_counter.py": "stat-counter-discipline",
-    "bad_protocol_order.py": "persist-protocol",
     "bad_hot_path_alloc.py": "hot-path-allocation",
     "bad_await_race.py": "await-atomicity",
     "bad_torn_write.py": "torn-file-write",

@@ -8,7 +8,10 @@ import pytest
 
 from repro.analysis import attach_sanitizer
 from repro.errors import PersistOrderingError
+from repro.secure import make_controller
+from repro.secure.base import REGISTER_UPDATE_CYCLES
 from repro.secure.eager import EagerController
+from repro.secure.plp import PLPController
 from repro.secure.scue import SCUEController
 
 from tests.conftest import small_config
@@ -40,6 +43,67 @@ class BrokenSCUE(SCUEController):
         return hash_latency + wpq_stall
 
 
+class DeferredBrokenSCUE(SCUEController):
+    """Seeded ordering bug in deferred-leaf mode: a forced Osiris
+    writeback persists the leaf BEFORE this write's Recovery_root
+    update, so an earlier write's update is all that covers it."""
+
+    def _on_leaf_persist(self, leaf, leaf_index, dummy_delta, cycle):
+        stall = self._osiris_writeback(leaf, leaf_index, dummy_delta,
+                                       cycle)             # too early
+        self.recovery_root.add(self._root_slot_of_leaf(leaf_index),
+                               dummy_delta)               # too late
+        return REGISTER_UPDATE_CYCLES + stall
+
+
+def deferred_scue(osiris_limit):
+    return small_config("scue", leaf_write_through=False,
+                        osiris_limit=osiris_limit)
+
+
+class SeededPLP(PLPController):
+    """PLP's atomic branch update with the persist loop split out into
+    :meth:`_persist_branch`, bottom-up as PLP persists it; each subclass
+    below seeds one bug in that loop."""
+
+    def _on_leaf_persist(self, leaf, leaf_index, dummy_delta, cycle):
+        addrs = self.amap.branch_addrs(leaf_index)
+        branch = []
+        node, level, index = leaf, 0, leaf_index
+        while True:
+            counter, _ = self._bump_parent(level, index, dummy_delta,
+                                           cycle, charge=False)
+            node.seal(self.mac, addrs[level], counter)
+            branch.append((addrs[level], node))
+            if level + 1 == self.amap.tree_levels:
+                return self._persist_branch(branch, cycle)
+            level, index = self.amap.parent_coords(level, index)
+            node, _ = self.fetch_node(level, index)
+
+    def _persist_branch(self, branch, cycle):
+        return sum(self._persist_node(node, cycle) for _, node in branch)
+
+
+class TopDownPLP(SeededPLP):
+    """Seeded ordering bug: the branch persists root side first."""
+
+    def _persist_branch(self, branch, cycle):
+        return sum(self._persist_node(node, cycle)
+                   for _, node in reversed(branch))  # ancestors first
+
+
+class StoreFirstPLP(SeededPLP):
+    """Seeded attribution bug: each branch node reaches media before
+    its WPQ enqueue."""
+
+    def _persist_branch(self, branch, cycle):
+        stall = 0
+        for addr, node in branch:
+            self.nvm.write_line(addr, node.to_bytes())  # store first
+            stall += self.wpq.enqueue(addr, cycle, metadata=True)
+        return stall
+
+
 class TestCleanRuns:
     def test_scue_history_and_crash_are_quiet(self):
         controller = SCUEController(small_config("scue"))
@@ -53,6 +117,28 @@ class TestCleanRuns:
         sanitizer = attach_sanitizer(controller, collect=True)
         run_writes(controller)
         controller.crash()
+        assert sanitizer.violations == []
+
+    @pytest.mark.parametrize("config", [
+        small_config("baseline"), small_config("plp"),
+        small_config("lazy"), small_config("bmf-ideal"),
+        small_config("bmt-eager"), deferred_scue(osiris_limit=1),
+        deferred_scue(osiris_limit=2),
+    ], ids=["baseline", "plp", "lazy", "bmf-ideal", "bmt-eager",
+            "scue-deferred-osiris1", "scue-deferred-osiris2"])
+    def test_every_other_scheme_is_quiet(self, config):
+        controller = make_controller(config)
+        sanitizer = attach_sanitizer(controller, collect=True)
+        run_writes(controller)
+        controller.crash()
+        assert sanitizer.violations == []
+
+    def test_seeded_plp_persisting_bottom_up_is_quiet(self):
+        # The unbroken parent of the seeded PLP schemes below: their
+        # violations come from the seeded bug, not the rewrite.
+        controller = SeededPLP(small_config("plp"))
+        sanitizer = attach_sanitizer(controller, collect=True)
+        run_writes(controller)
         assert sanitizer.violations == []
 
 
@@ -72,6 +158,15 @@ class TestShortcutRootRule:
         assert "Recovery_root" in sanitizer.violations[0]
         assert "scue" in sanitizer.violations[0]
 
+    def test_an_earlier_writes_update_does_not_cover_a_writeback(self):
+        # Credits count per write: the forced writeback of a leaf's
+        # second bump runs before that write's own shortcut update.
+        controller = DeferredBrokenSCUE(deferred_scue(osiris_limit=2))
+        attach_sanitizer(controller)
+        with pytest.raises(PersistOrderingError,
+                           match="shortcut-root-before-leaf"):
+            run_writes(controller)
+
 
 class TestAttributablePersistRule:
     def test_unattributed_store_caught(self):
@@ -86,6 +181,13 @@ class TestAttributablePersistRule:
         attach_sanitizer(controller)
         controller.wpq.enqueue(0, 0)
         controller.nvm.write_line(0, b"\0" * 64)
+
+    def test_plp_node_stored_before_its_enqueue_caught(self):
+        controller = StoreFirstPLP(small_config("plp"))
+        attach_sanitizer(controller)
+        with pytest.raises(PersistOrderingError,
+                           match="attributable-persist"):
+            run_writes(controller, n=1)
 
 
 class TestLeafBeforeParentRule:
@@ -110,6 +212,13 @@ class TestLeafBeforeParentRule:
                                metadata=True)
         controller.wpq.enqueue(amap.tree_node_addr(1, 0), 100,
                                metadata=True)
+
+    def test_plp_branch_persisted_top_down_caught(self):
+        controller = TopDownPLP(small_config("plp"))
+        attach_sanitizer(controller)
+        with pytest.raises(PersistOrderingError,
+                           match="leaf-before-parent"):
+            run_writes(controller, n=1)
 
     def test_different_cycles_are_independent_operations(self):
         controller, _ = self.make()

@@ -140,6 +140,22 @@ class TestEagerEvictionMidClimb:
         assert system.result("array").nvm_data_writes > 0
 
 
+class TestEagerSingleLevelTree:
+    """In a single-level tree the write-through leaf is the top node.
+    It is sealed with the root before it persists, so a clean eviction
+    and re-fetch verifies; before, media kept the HMAC from before that
+    seal and the read raised a false IntegrityError."""
+
+    def test_refetched_leaf_verifies(self):
+        controller = EagerController(
+            SystemConfig(scheme="eager", data_capacity=4096))
+        assert controller.amap.tree_levels == 1
+        controller.write_data(0, None, cycle=100)
+        controller.write_data(64, None, cycle=200)
+        controller.meta_cache.drop_all()
+        controller.read_data(0, cycle=300)
+
+
 class TestEagerCrashWindow:
     def test_crash_in_window_fails_recovery(self):
         controller = EagerController(small_config("eager"))
