@@ -14,8 +14,7 @@ guards the invariants no runtime check reaches:
   same trace's legal crash cuts through recovery;
 * :mod:`repro.analysis.lint` — "reprolint", a static lint: flat
   single-module AST rules plus project rules that run over a
-  per-function CFG (:mod:`repro.analysis.cfg`) and a project-wide call
-  graph (:mod:`repro.analysis.callgraph`).
+  project-wide call graph (:mod:`repro.analysis.callgraph`).
 
 Each lint run is one pass over the whole tree and can export SARIF
 2.1.0 for code scanning (:mod:`repro.analysis.sarif`).
@@ -31,20 +30,17 @@ and attach the sanitizer inside tests with::
 """
 
 from repro.analysis.callgraph import ProjectIndex
-from repro.analysis.cfg import CFG, build_cfg
 from repro.analysis.lint import Linter, ParsedModule
 from repro.analysis.rules import ALL_RULES, Violation, get_rule
 from repro.analysis.sanitizer import PersistOrderSanitizer, attach_sanitizer
 
 __all__ = [
     "ALL_RULES",
-    "CFG",
     "Linter",
     "ParsedModule",
     "PersistOrderSanitizer",
     "ProjectIndex",
     "Violation",
     "attach_sanitizer",
-    "build_cfg",
     "get_rule",
 ]

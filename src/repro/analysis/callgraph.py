@@ -2,41 +2,27 @@
 
 :class:`ProjectIndex` indexes every function/method and class in the
 scanned modules and resolves call expressions to their targets.  The
-resolver is deliberately *conservative*: a resolution is either
+resolver is deliberately *conservative*: a call resolves only when a
+single target is found through one of the trusted routes (same-module
+bare name; a ``from repro.x import f`` import edge; ``self.method``
+through the class MRO; ``self.attr.method`` through lightweight
+attribute-type inference of ``self.attr = ClassName(...)`` and
+``self.attr = param`` (annotated parameter) assignments; a local
+variable or parameter whose class is known from an assignment or
+annotation; ``mod.f`` through a ``from repro.pkg import mod``
+submodule import).  Anything else is unresolved, so an unrelated
+``save()`` somewhere else in the tree never creates a phantom call
+edge.
 
-* **exact** — a single target found through one of the trusted routes
-  (same-module bare name; a ``from repro.x import f`` import edge;
-  ``self.method`` through the class MRO; ``self.attr.method`` through
-  lightweight attribute-type inference of ``self.attr = ClassName(...)``
-  and ``self.attr = param`` (annotated parameter) assignments; a local
-  variable or parameter whose class is known from an assignment or
-  annotation; ``mod.f`` through a ``from repro.pkg import mod``
-  submodule import), or
-* **ambiguous** — a bucket of same-named methods across the project.
-
-Rules only impose *obligations on callers* through exact resolutions
-(otherwise an unrelated ``save()`` somewhere else in the tree would
-create phantom call edges), while *summaries of callees* may consult
-ambiguous buckets as long as the answer is the conservative one for the
-analysis at hand.
-
-The index also memoises per-function CFGs.
+:func:`own_nodes` walks the part of a function that runs in its own
+frame.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-
-from repro.analysis.cfg import CFG, build_cfg
-
-#: An ambiguous bucket larger than this is treated as unresolvable.
-_AMBIGUOUS_CAP = 8
-
-#: Names too generic to resolve through the simple-name bucket.
-_SKIP_BUCKET = {"__init__", "__repr__", "__eq__", "__hash__", "run",
-                "main", "get", "items", "values", "keys", "append",
-                "add", "update", "check", "close", "read", "write"}
 
 
 @dataclass
@@ -73,18 +59,18 @@ class ClassInfo:
     attr_types: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """Outcome of resolving one call expression."""
-
-    targets: tuple[FunctionInfo, ...]
-    exact: bool
-
-    def __bool__(self) -> bool:
-        return bool(self.targets)
-
-
-_UNRESOLVED = Resolution(targets=(), exact=False)
+def own_nodes(fn: FunctionInfo) -> Iterator[ast.AST]:
+    """Every node of ``fn``'s body in source order, skipping nested
+    ``def`` and ``class`` statements, whose bodies run in another
+    frame."""
+    stack: list[ast.AST] = list(reversed(fn.node.body))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(reversed(list(ast.iter_child_nodes(node))))
 
 
 def _base_name(expr: ast.expr) -> str:
@@ -112,8 +98,6 @@ class ProjectIndex:
         self.functions: dict[str, FunctionInfo] = {}
         #: class name -> every ClassInfo with that name (usually one)
         self.classes: dict[str, list[ClassInfo]] = {}
-        #: simple function name -> bucket of same-named definitions
-        self.by_simple_name: dict[str, list[FunctionInfo]] = {}
         #: (module_key, name) -> module-level function
         self.module_funcs: dict[tuple[str, str], FunctionInfo] = {}
         #: module_key -> local name -> candidate (source relpath,
@@ -123,7 +107,6 @@ class ProjectIndex:
         #: module_key -> local name -> imported submodule relpath
         #: from ``from repro.x import mod`` imports
         self.module_imports: dict[str, dict[str, str]] = {}
-        self._cfgs: dict[str, CFG] = {}
         self._local_envs: dict[str, dict[str, str]] = {}
         self._callers: dict[str, list[tuple[FunctionInfo, ast.Call]]] | \
             None = None
@@ -179,7 +162,7 @@ class ProjectIndex:
                 info = FunctionInfo(
                     name=node.name, qualname=f"{relpath}::{node.name}",
                     relpath=relpath, node=node, module_key=relpath)
-                self._register(info)
+                self.functions[info.qualname] = info
                 self.module_funcs[(relpath, node.name)] = info
             elif isinstance(node, ast.ClassDef):
                 self._index_class(relpath, node)
@@ -197,14 +180,8 @@ class ProjectIndex:
                     relpath=relpath, node=item, module_key=relpath,
                     cls=cls)
                 cls.methods[item.name] = info
-                self._register(info)
+                self.functions[info.qualname] = info
         self.classes.setdefault(node.name, []).append(cls)
-
-    def _register(self, info: FunctionInfo) -> None:
-        self.functions[info.qualname] = info
-        if info.name not in _SKIP_BUCKET and \
-                not info.name.startswith("__"):
-            self.by_simple_name.setdefault(info.name, []).append(info)
 
     def _infer_attr_types(self, cls: ClassInfo,
                           class_names: set[str]) -> None:
@@ -270,13 +247,6 @@ class ProjectIndex:
                     return found
         return None
 
-    def cfg(self, fn: FunctionInfo) -> CFG:
-        got = self._cfgs.get(fn.qualname)
-        if got is None:
-            got = build_cfg(fn.node)
-            self._cfgs[fn.qualname] = got
-        return got
-
     def _local_env(self, fn: FunctionInfo) -> dict[str, str]:
         """Locals / params with a statically-known class type."""
         env = self._local_envs.get(fn.qualname)
@@ -302,21 +272,23 @@ class ProjectIndex:
 
     # -- resolution -----------------------------------------------------
     def resolve_call(self, call: ast.Call,
-                     caller: FunctionInfo) -> Resolution:
+                     caller: FunctionInfo) -> FunctionInfo | None:
+        """The one function ``call`` reaches through a trusted route, or
+        None."""
         func = call.func
         if isinstance(func, ast.Name):
             target = self.module_funcs.get((caller.module_key, func.id))
             if target is not None:
-                return Resolution((target,), exact=True)
+                return target
             # ``from repro.x.y import f`` import edge.
             for source, orig in self.imports.get(
                     caller.module_key, {}).get(func.id, ()):
                 target = self.module_funcs.get((source, orig))
                 if target is not None:
-                    return Resolution((target,), exact=True)
-            return _UNRESOLVED
+                    return target
+            return None
         if not isinstance(func, ast.Attribute):
-            return _UNRESOLVED
+            return None
         attr = func.attr
         recv = func.value
         # self.method(...) / cls.method(...)
@@ -324,33 +296,28 @@ class ProjectIndex:
             if recv.id in ("self", "cls") and caller.cls is not None:
                 method = self.mro_method(caller.cls, attr)
                 if method is not None:
-                    return Resolution((method,), exact=True)
+                    return method
             else:
                 typed = self._local_env(caller).get(recv.id)
                 if typed is not None:
                     method = self._method_on(typed, attr)
                     if method is not None:
-                        return Resolution((method,), exact=True)
+                        return method
                 # ``from repro.pkg import mod`` then ``mod.f(...)``.
                 source = self.module_imports.get(
                     caller.module_key, {}).get(recv.id)
                 if source is not None:
                     target = self.module_funcs.get((source, attr))
                     if target is not None:
-                        return Resolution((target,), exact=True)
+                        return target
         # self.attrname.method(...)
         if isinstance(recv, ast.Attribute) and \
                 isinstance(recv.value, ast.Name) and \
                 recv.value.id == "self" and caller.cls is not None:
             typed = self.mro_attr_type(caller.cls, recv.attr)
             if typed is not None:
-                method = self._method_on(typed, attr)
-                if method is not None:
-                    return Resolution((method,), exact=True)
-        bucket = self.by_simple_name.get(attr, [])
-        if 0 < len(bucket) <= _AMBIGUOUS_CAP:
-            return Resolution(tuple(bucket), exact=False)
-        return _UNRESOLVED
+                return self._method_on(typed, attr)
+        return None
 
     def _method_on(self, class_name: str, attr: str) -> FunctionInfo | None:
         cls = self.class_named(class_name)
@@ -361,17 +328,15 @@ class ProjectIndex:
     # -- inverted edges -------------------------------------------------
     def callers_of(self, fn: FunctionInfo
                    ) -> list[tuple[FunctionInfo, ast.Call]]:
-        """Exact-resolution call sites targeting ``fn`` (obligations are
-        only imposed through edges we are sure about)."""
+        """Call sites that resolve to ``fn``."""
         if self._callers is None:
             self._callers = {}
             for caller in self.functions.values():
                 for node in ast.walk(caller.node):
                     if not isinstance(node, ast.Call):
                         continue
-                    res = self.resolve_call(node, caller)
-                    if res.exact:
-                        for target in res.targets:
-                            self._callers.setdefault(
-                                target.qualname, []).append((caller, node))
+                    target = self.resolve_call(node, caller)
+                    if target is not None:
+                        self._callers.setdefault(
+                            target.qualname, []).append((caller, node))
         return self._callers.get(fn.qualname, [])

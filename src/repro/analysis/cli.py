@@ -10,9 +10,9 @@
     python -m repro.analysis --select RPL004   # run only this rule
     python -m repro.analysis --list-rules      # what is enforced & why
 
-Every run is one pass over the whole tree: the project rules (call
-graphs, persist protocols, await-atomicity) are only sound over the
-full package.  Exit code 0 means no finding, 1 means at least one
+Every run is one pass over the whole tree: the project rules
+(torn-file-write and blocking-call-in-async, which follow call edges
+across modules) are only sound over the full package.  Exit code 0 means no finding, 1 means at least one
 violation, 2 a usage or I/O error.  An accepted finding carries an
 inline ``# reprolint: disable=<rule>`` comment.  Designed to run in CI
 next to the test suite.

@@ -23,14 +23,13 @@ from repro.analysis.explorer.record import (
     Recording, record_system_run,
 )
 from repro.campaign.cache import ResultCache
-from repro.campaign.executor import run_campaign
+from repro.campaign.executor import run_campaign, trace_of
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.errors import ConfigError
 from repro.obs import events as ev
 from repro.obs.recorder import NULL_RECORDER
 from repro.sim.config import SystemConfig
 from repro.sim.system import System
-from repro.workloads import make_workload
 
 _GROUP_RE = re.compile(r"explore\[(\d+):(\d+)\)(?:/lag=(\d+))?$")
 
@@ -122,15 +121,10 @@ def explore_range(model: CrashStateModel, lo: int, hi: int,
 
 # ----------------------------------------------------------------------
 def record_cell(cell: CellSpec) -> Recording:
-    """Deterministically (re)record the cell's persist stream: same
-    workload construction as :func:`repro.campaign.executor.execute_cell`
-    so a shard recorded in a worker matches the driver's recording."""
-    workload = make_workload(cell.workload, cell.config.data_capacity,
-                             cell.operations, seed=cell.seed)
-    trace = workload.record() if hasattr(workload, "record") \
-        else list(workload.trace())
-    system = System(cell.config)
-    return record_system_run(system, iter(trace))
+    """Deterministically (re)record the cell's persist stream over the
+    trace :func:`repro.campaign.executor.execute_cell` runs, so a shard
+    recorded in a worker matches the driver's recording."""
+    return record_system_run(System(cell.config), iter(trace_of(cell)))
 
 
 def parse_group(group: str) -> tuple[int, int, int | None]:

@@ -5,14 +5,15 @@ Two kinds of checks coexist:
 * **flat rules** (:class:`LintRule`) — single-module AST scans:
   RPL004, RPL005 and RPL009–RPL011;
 * **project rules** (:class:`ProjectRule`) — checks that run once over
-  the whole scanned tree with a
-  :class:`~repro.analysis.callgraph.ProjectIndex` (call graph plus
-  per-function CFGs) in hand: the async and file-write rules
-  RPL012–RPL014.
+  the whole scanned tree with the call graph
+  (:class:`~repro.analysis.callgraph.ProjectIndex`) in hand: the
+  file-write rule RPL013 and the blocking-call rule RPL014.
 
 Persist order is not linted: the runtime sanitizer
 (:mod:`repro.analysis.sanitizer`) and the crash-state explorer check it
-on executed runs (docs/analysis.md, "Retired rules").
+on executed runs.  Nor is the serve scheduler's await discipline: the
+scheduler tests check that its ledgers come to rest (docs/analysis.md,
+"Retired rules").
 
 Both kinds produce the same :class:`~repro.analysis.rules.Violation`
 records, honour the same ``# reprolint: disable=<rule>`` suppression
@@ -26,11 +27,8 @@ import re
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
-from repro.analysis.atomicity import (
-    check_await_atomicity,
-    check_blocking_calls,
-)
-from repro.analysis.callgraph import FunctionInfo, ProjectIndex
+from repro.analysis.blocking import check_blocking_calls
+from repro.analysis.callgraph import FunctionInfo, ProjectIndex, own_nodes
 from repro.analysis.explorer.seams import EXPLORED_ROOT_REGISTERS
 from repro.analysis.rules import ALL_RULES, RuleInfo, Violation, get_rule
 
@@ -378,30 +376,7 @@ class NondeterministicReportRule(LintRule):
 
 
 # ======================================================================
-# RPL012 — await-atomicity (engine in repro.analysis.atomicity)
-# ======================================================================
-class AwaitAtomicityRule(ProjectRule):
-    """A ``self.*`` attribute read on one side of an await and written
-    back on the other without a covering asyncio lock: another task can
-    run at the await and the write clobbers its update.  Locksets are
-    lexical ``async with self._lock:`` regions and transfer through
-    exact call edges — a helper's reads/writes count at the call site,
-    under the caller's lockset (:mod:`repro.analysis.atomicity`)."""
-
-    name = "await-atomicity"
-    exclude = ("analysis/",)
-
-    def check_project(self, modules: list[ParsedModule],
-                      index: ProjectIndex) -> Iterator[Violation]:
-        mods = self.by_relpath(modules)
-        scope = frozenset(r for r in mods if self.applies(r))
-        for finding in check_await_atomicity(index, scope):
-            yield self.violation_at(mods, finding.relpath, finding.line,
-                                    finding.column, finding.message)
-
-
-# ======================================================================
-# RPL014 — blocking calls in async code (engine in atomicity.py)
+# RPL014 — blocking calls in async code (engine in blocking.py)
 # ======================================================================
 class BlockingCallInAsyncRule(ProjectRule):
     """Synchronous blocking work — ``time.sleep``, subprocess, sqlite
@@ -454,17 +429,13 @@ class TornFileWriteRule(ProjectRule):
             yield from self._check_function(fn, mods)
 
     # -- per-function facts ---------------------------------------------
-    def _leaf_nodes(self, fn: FunctionInfo) -> Iterator[ast.AST]:
-        for _, _, stmt in self._index.cfg(fn).nodes():
-            yield from ast.walk(stmt)
-
     def _has_replace(self, fn: FunctionInfo) -> bool:
         cached = self._has_replace_memo.get(fn.qualname)
         if cached is None:
             cached = any(
                 isinstance(node, ast.Call)
                 and _dotted(node.func) == "os.replace"
-                for node in self._leaf_nodes(fn))
+                for node in own_nodes(fn))
             self._has_replace_memo[fn.qualname] = cached
         return cached
 
@@ -547,7 +518,7 @@ class TornFileWriteRule(ProjectRule):
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and "journal_mode" in node.value
-            for node in self._leaf_nodes(fn))
+            for node in own_nodes(fn))
 
         def flag(call: ast.Call, desc: str) -> Violation:
             return self.violation_at(
@@ -557,7 +528,7 @@ class TornFileWriteRule(ProjectRule):
                 "fsync, then os.replace() (repro.util.atomic), or "
                 "route the write through an atomic-write helper")
 
-        for node in self._leaf_nodes(fn):
+        for node in own_nodes(fn):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -608,7 +579,6 @@ _FLAT_RULE_CLASSES: tuple[type[LintRule], ...] = (
 )
 
 _PROJECT_RULE_CLASSES: tuple[type[ProjectRule], ...] = (
-    AwaitAtomicityRule,
     TornFileWriteRule,
     BlockingCallInAsyncRule,
 )

@@ -98,23 +98,6 @@ ALL_RULES: tuple[RuleInfo, ...] = (
                   "bundle guarantee.",
     ),
     RuleInfo(
-        id="RPL012",
-        name="await-atomicity",
-        summary="shared state read and written back across an await "
-                "without a covering lock",
-        rationale="The serve layer's correctness argument is the same "
-                  "shape as the paper's: invariants live on ordering "
-                  "discipline.  Scheduler/EventBus/quota/store "
-                  "bookkeeping is loop-synchronous — atomic only "
-                  "*between* awaits.  A self.* attribute read before "
-                  "an interference point and written back after it "
-                  "lets another task interleave at the await and have "
-                  "its update clobbered (lost quota charges, double-"
-                  "scheduled cells).  Hold one asyncio.Lock across the "
-                  "read-modify-write or keep it on one side of the "
-                  "await.",
-    ),
-    RuleInfo(
         id="RPL013",
         name="torn-file-write",
         summary="final-path file write outside the write-temp -> fsync "

@@ -79,12 +79,14 @@ def execute_cell(cell: CellSpec) -> RunResult:
     ``System`` keeps empty CPU caches and never leaves that call, which
     returns only the ``RunResult``, bit-identical to this function's.
     """
-    return run_workload(cell.config, _trace_of(cell),
+    return run_workload(cell.config, trace_of(cell),
                         workload_name=cell.workload,
                         warmup_accesses=cell.warmup_accesses)
 
 
-def _trace_of(cell: CellSpec) -> list:
+def trace_of(cell: CellSpec) -> list:
+    """The cell's access trace: ``record()`` when the workload caches
+    its trace, the generator's output otherwise."""
     workload = make_workload(cell.workload, cell.config.data_capacity,
                              cell.operations, seed=cell.seed)
     return workload.record() if hasattr(workload, "record") \
@@ -131,7 +133,7 @@ class GridRow:
             # Let go of the old row before building the next trace.
             self.trace_key = self.trace = self.pass_key = \
                 self.cache_pass = None
-            self.trace = _trace_of(cell)
+            self.trace = trace_of(cell)
             self.trace_key = trace_key
         system = System(cell.config)
         if epoch.ineligible_reason(system) is not None:

@@ -161,7 +161,11 @@ class ServerApp:
             if ":" in line:
                 name, value = line.split(":", 1)
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length_text = headers.get("content-length", "0") or "0"
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise api.ServeError(
+                f"malformed Content-Length {length_text!r}")
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             raise api.TooLargeError(
                 f"body of {length} bytes exceeds {MAX_BODY_BYTES}")

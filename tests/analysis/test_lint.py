@@ -17,7 +17,6 @@ BAD = {
     "bad_bare_assert.py": "bare-assert",
     "bad_stat_counter.py": "stat-counter-discipline",
     "bad_hot_path_alloc.py": "hot-path-allocation",
-    "bad_await_race.py": "await-atomicity",
     "bad_torn_write.py": "torn-file-write",
     "bad_blocking_async.py": "blocking-call-in-async",
 }
@@ -153,21 +152,10 @@ class TestNondeterministicReport:
 
 
 class TestConcurrencyRules:
-    """RPL012/013/014 exact locations on the seeded concurrency
+    """RPL013/014 exact locations on the seeded concurrency
     fixtures — the BAD map above already asserts exactly-once firing;
     these pin the rule to the precise line so a drift in the engine's
-    reporting point (read vs write, open vs dump) fails loudly."""
-
-    def test_await_race_flags_the_clobbering_write(self):
-        (violation,) = lint_file(FIXTURES / "bad_await_race.py")
-        assert violation.rule.id == "RPL012"
-        assert violation.path == "serve/broken_scheduler.py"
-        # The finding anchors on the write-back, naming the read and
-        # the await it straddles.
-        assert violation.line == 25
-        assert violation.snippet.startswith("self.completed = count")
-        assert "read at line 23" in violation.message
-        assert "await at line 24" in violation.message
+    reporting point (open vs dump, caller vs callee) fails loudly."""
 
     def test_torn_write_flags_the_open(self):
         (violation,) = lint_file(FIXTURES / "bad_torn_write.py")

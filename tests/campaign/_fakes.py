@@ -172,3 +172,19 @@ def slow_after_first(cell: CellSpec) -> RunResult:
     if not cell.group.endswith("0"):
         time.sleep(30.0)
     return make_result(cell)
+
+
+def pair_cell(cell: CellSpec) -> RunResult:
+    """Leaves a ``.started`` marker, then waits up to 10 s until a second
+    cell has left one too, so two cells hold a slot at the same time."""
+    marker = marker_path(cell, ".started")
+    with open(marker + ".tmp", "w"):
+        pass
+    os.replace(marker + ".tmp", marker)
+    root = os.environ["REPRO_TEST_DIR"]
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        if sum(name.endswith(".started") for name in os.listdir(root)) >= 2:
+            break
+        time.sleep(0.01)
+    return make_result(cell)

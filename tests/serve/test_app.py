@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.request
 from contextlib import contextmanager
@@ -123,6 +124,23 @@ class TestRoutes:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=10)
             assert excinfo.value.code == 400
+
+    def test_malformed_content_length_is_400(self, scratch):
+        """A Content-Length that is not a non-negative integer is the
+        client's error, not an internal one."""
+        with serving(scratch) as (app, client):
+            for length in (b"abc", b"-5"):
+                with socket.create_connection(("127.0.0.1", app.port),
+                                              timeout=10) as sock:
+                    sock.sendall(b"POST /v1/campaigns HTTP/1.1\r\n"
+                                 b"Content-Length: " + length +
+                                 b"\r\n\r\n")
+                    reply = b""
+                    while chunk := sock.recv(4096):
+                        reply += chunk
+                head, _, body = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 400 "), (length, reply)
+                assert json.loads(body)["error"] == "bad_request"
 
 
 class TestSubmitLifecycle:

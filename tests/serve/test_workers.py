@@ -28,6 +28,8 @@ from tests.campaign._fakes import (
     fake_cells,
     fake_spec,
     ok_cell,
+    pair_cell,
+    poison_cell,
     raising_cell,
     sleeping_cell,
     tracking_cell,
@@ -259,6 +261,57 @@ class TestSchedulerDedup:
             assert all("boom in" in e["error"] for e in finished)
         _run(_with_scheduler(scratch, body, cell_fn=raising_cell,
                              retries=0))
+
+
+class TestSchedulerAwaitDiscipline:
+    """The scheduler's bookkeeping is atomic only between awaits: a
+    count read before ``_run_task`` awaits its cell and written back
+    after it loses the updates other tasks made meanwhile.  Once every
+    job is done, each ledger must read zero again."""
+
+    def test_overlapping_jobs_come_to_rest(self, scratch):
+        async def body(scheduler, store, bus):
+            shared = fake_spec(8)
+            others = fake_spec(2, group_prefix="other")
+            poisoned = fake_spec(2, group_prefix="poison")
+            jobs = [scheduler.submit(api.SubmitRequest(tenant=tenant,
+                                                       spec=spec))
+                    for tenant, spec in (("a", shared), ("b", shared),
+                                         ("c", others), ("c", poisoned))]
+
+            async def until_rest():
+                peak = 0
+                while not all(job.done.is_set() for job in jobs):
+                    peak = max(peak, scheduler.describe()["running"])
+                    await asyncio.sleep(0)
+                return peak
+
+            peak = await asyncio.wait_for(until_rest(), 60)
+            described = scheduler.describe()
+            assert (described["running"], described["queued"],
+                    described["inflight"]) == (0, 0, 0)
+            assert peak <= scheduler.slots
+            assert scheduler.quotas.snapshot() == {}
+            assert scheduler.counters["cells_computed"] == 10
+            assert scheduler.counters["cells_failed"] == 2
+            for cell in shared.cells + others.cells:
+                assert invocations(cell) == 1
+            assert [job.view.state for job in jobs] == [
+                api.JOB_DONE, api.JOB_DONE, api.JOB_DONE, api.JOB_FAILED]
+        _run(_with_scheduler(scratch, body, cell_fn=poison_cell,
+                             retries=0))
+
+    def test_a_same_tenant_pair_releases_its_quota(self, scratch):
+        """``pair_cell`` holds each cell until both have started, so
+        the tenant still has two cells running when the first ends."""
+        async def body(scheduler, store, bus):
+            job = scheduler.submit(
+                api.SubmitRequest(tenant="t", spec=fake_spec(2)))
+            await asyncio.wait_for(job.done.wait(), 60)
+            assert job.view.state == api.JOB_DONE
+            assert scheduler.quotas.snapshot() == {}
+            assert scheduler.describe()["running"] == 0
+        _run(_with_scheduler(scratch, body, cell_fn=pair_cell))
 
 
 class TestJobRetention:
